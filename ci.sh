@@ -2,7 +2,8 @@
 # CI gate for the pathalg workspace. Run from the repo root:
 #
 #   ./ci.sh               full gate: fmt, clippy -D warnings, release build,
-#                         tests, docs -D warnings, bench compile, examples
+#                         tests, docs -D warnings, bench compile, perfbench
+#                         build, examples
 #   ./ci.sh --quick       tier-1 subset only (see ROADMAP.md):
 #                         cargo build --release && cargo test -q
 #   ./ci.sh --bench-json  run every bench target under PATHALG_BENCH_MAX_MS
@@ -59,6 +60,12 @@ full() {
 
     step "cargo bench --no-run (compile all bench targets)"
     cargo bench --no-run -q
+
+    # perfbench is a workspace of its own that reaches the library crates by
+    # path, so a library change that breaks it fails here rather than when
+    # the benchmark is next run.
+    step "perfbench builds against the current library crates"
+    cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
 
     step "examples compile"
     cargo build -q --examples

@@ -1,8 +1,7 @@
 //! Ablation studies for the design choices called out in DESIGN.md §5.
 //!
 //! 1. ϕ physical implementation: semi-naïve fixpoint vs. literal Definition
-//!    4.1 vs. DFS enumeration vs. BFS shortest vs. the automaton-product
-//!    baseline.
+//!    4.1 vs. DFS enumeration vs. the automaton-product baseline.
 //! 2. Join strategy: endpoint hash join vs. nested-loop join.
 //! 3. Restrictor pushed into ϕ vs. post-filtering a bounded walk.
 //! 4. Projection with and without a preceding order-by (Algorithm 1's remark
@@ -22,7 +21,7 @@ use pathalg_core::ops::recursive::{recursive, PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::optimizer::Optimizer;
 use pathalg_core::pathset::PathSet;
-use pathalg_engine::physical::{phi_bfs_shortest, phi_dfs, phi_naive, phi_seminaive};
+use pathalg_engine::physical::{phi_dfs, phi_naive, phi_seminaive};
 use pathalg_rpq::automaton_eval::AutomatonEvaluator;
 use pathalg_rpq::parse::parse_regex;
 use std::time::Duration;
@@ -69,9 +68,6 @@ fn bench_phi_implementations(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("bfs_shortest", n), &base, |b, base| {
-            b.iter(|| phi_bfs_shortest(base, &cfg).unwrap().len())
-        });
         // The classical automaton-product baseline answering the same RPQ.
         let regex = parse_regex(":Knows+").unwrap();
         group.bench_with_input(

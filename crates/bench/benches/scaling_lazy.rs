@@ -6,8 +6,9 @@
 //! bounded walks on a *complete* directed graph — the canonical cyclic
 //! generator where the materialised closure grows as `(n-1)^L` per source
 //! while the sliced answer is one path per ordered node pair. The
-//! materialised side runs the engine's CSR frontier expansion followed by
-//! the γ/τ/π operators; the lazy side runs `Pmr::sliced`, which stops each
+//! materialised side drains the whole closure from the PMR (the engine's
+//! route for a label-scan ϕ it does not slice) and runs the γ/τ/π
+//! operators over it; the lazy side runs `Pmr::sliced`, which stops each
 //! source after one level thanks to the reachability analysis. Both produce
 //! byte-identical output (pinned in `tests/cross_validation.rs`); only the
 //! work differs. A Trail variant and a sparse SNB Shortest variant complete
@@ -20,8 +21,6 @@ use pathalg_core::ops::order_by::{order_by, OrderKey};
 use pathalg_core::ops::projection::{projection, ProjectionSpec, Take};
 use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::slice::SliceSpec;
-use pathalg_engine::exec::ExecutionConfig;
-use pathalg_engine::physical::frontier::phi_frontier_csr;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::generator::structured::complete_graph;
 use pathalg_pmr::Pmr;
@@ -39,9 +38,11 @@ fn top1_spec() -> (ProjectionSpec, SliceSpec) {
     )
 }
 
-/// Full materialisation: CSR frontier closure, then γST → τA → π(*,*,1).
+/// Full materialisation: the drained PMR closure, then γST → τA → π(*,*,1).
 fn materialized_top1(csr: &CsrGraph, semantics: PathSemantics, cfg: &RecursionConfig) -> usize {
-    let closure = phi_frontier_csr(csr, semantics, cfg, &ExecutionConfig::default()).unwrap();
+    let closure = Pmr::from_csr(csr.clone(), semantics, *cfg)
+        .enumerate_all()
+        .unwrap();
     let (spec, _) = top1_spec();
     projection(
         &spec,

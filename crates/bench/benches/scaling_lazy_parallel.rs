@@ -19,7 +19,7 @@
 //!   on a single-CPU container, where threads add scheduling cost but no
 //!   cores (the same caveat BENCH_PR2 documents for the §7 engine).
 //! * **K-graph closure** — the full two-hop trail closure of K4 (a root-ϕ
-//!   join-chain drain, the `choose_scan_phi_impl` dispatch): nothing to
+//!   join-chain drain, the engine's PMR drain strategy): nothing to
 //!   slice, so this family tracks the batch scheduler's overhead against
 //!   the serial drain.
 //!
@@ -80,7 +80,7 @@ fn bench_snb_chain_partitions(c: &mut Criterion) {
         let hops = shared_hops(&graph, &["Likes", "Has_creator"]);
         group.bench_with_input(BenchmarkId::new("serial-pmr", persons), &hops, |b, hops| {
             b.iter(|| {
-                let mut pmr = Pmr::from_shared_join(hops.clone(), PathSemantics::Walk, cfg);
+                let mut pmr = Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg);
                 pmr.sliced(&spec).unwrap().len()
             })
         });
@@ -89,7 +89,7 @@ fn bench_snb_chain_partitions(c: &mut Criterion) {
                 BenchmarkId::new(format!("parallel-lazy/t{threads}"), persons),
                 &hops,
                 |b, hops| {
-                    let factory = || Pmr::from_shared_join(hops.clone(), PathSemantics::Walk, cfg);
+                    let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg);
                     let sources = factory().sources();
                     let pc = ParallelConfig {
                         threads,
@@ -126,7 +126,7 @@ fn bench_kgraph_closure(c: &mut Criterion) {
     let hops = shared_hops(&graph, &["k", "k"]);
     group.bench_with_input(BenchmarkId::new("serial-pmr", n), &hops, |b, hops| {
         b.iter(|| {
-            let mut pmr = Pmr::from_shared_join(hops.clone(), PathSemantics::Trail, cfg);
+            let mut pmr = Pmr::from_hops(hops.clone(), PathSemantics::Trail, cfg);
             pmr.enumerate_all().unwrap().len()
         })
     });
@@ -135,7 +135,7 @@ fn bench_kgraph_closure(c: &mut Criterion) {
             BenchmarkId::new(format!("parallel-lazy/t{threads}"), n),
             &hops,
             |b, hops| {
-                let factory = || Pmr::from_shared_join(hops.clone(), PathSemantics::Trail, cfg);
+                let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Trail, cfg);
                 let sources = factory().sources();
                 let pc = ParallelConfig {
                     threads,

@@ -39,8 +39,8 @@ fn two_hop() -> RecursionConfig {
     }
 }
 
-fn count_csr(csr: &Arc<CsrGraph>, semantics: PathSemantics) -> usize {
-    let mut pmr = Pmr::from_shared_csr(Arc::clone(csr), semantics, two_hop());
+fn count_csr(csr: &Arc<[CsrGraph]>, semantics: PathSemantics) -> usize {
+    let mut pmr = Pmr::from_hops(Arc::clone(csr), semantics, two_hop());
     pmr.count_batch(DRAIN).unwrap()
 }
 
@@ -65,7 +65,7 @@ fn bench_lazy_counts(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600))
         .warm_up_time(Duration::from_millis(50));
     for n in SIZES {
-        let knows = Arc::new(snb_csr(n, "Knows"));
+        let knows: Arc<[CsrGraph]> = Arc::from(vec![snb_csr(n, "Knows")]);
         group.bench_with_input(BenchmarkId::new("walk2_count100k", n), &knows, |b, csr| {
             b.iter(|| count_csr(csr, PathSemantics::Walk))
         });
@@ -91,8 +91,7 @@ fn bench_join_counts(c: &mut Criterion) {
             &hops,
             |b, hops| {
                 b.iter(|| {
-                    let mut pmr =
-                        Pmr::from_shared_join(Arc::clone(hops), PathSemantics::Walk, two_hop());
+                    let mut pmr = Pmr::from_hops(Arc::clone(hops), PathSemantics::Walk, two_hop());
                     pmr.count_batch(DRAIN).unwrap()
                 })
             },

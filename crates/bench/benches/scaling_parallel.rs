@@ -1,10 +1,11 @@
-//! Scaling study — the parallel CSR-native frontier engine for ϕ vs. the
-//! semi-naïve fixpoint, swept over thread count × graph size.
+//! Scaling study — the parallel frontier engine for ϕ vs. the semi-naïve
+//! fixpoint, swept over thread count × graph size.
 //!
 //! This is the headline benchmark of the frontier engine (DESIGN.md §7): the
 //! same `ϕShortest(σKnows(Edges))` workload is evaluated by the semi-naïve
-//! fixpoint, by `phi_frontier` at 1/2/4/8 threads, and by the CSR-native
-//! specialisation that never materialises the base relation. The length
+//! fixpoint, by `phi_frontier` over the materialised base at 1/2/4/8
+//! threads, and by the engine's production kernel for a label scan — the
+//! PMR drained in per-source batches, base never materialised. The length
 //! bound keeps the closure finite on the dense Knows subgraph so the sweep
 //! measures engine overhead, not result-set explosion. A bounded-walk sweep
 //! exercises the unrestricted semantics on the same graphs.
@@ -16,10 +17,13 @@ use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_core::ops::selection::selection;
 use pathalg_core::pathset::PathSet;
 use pathalg_engine::exec::ExecutionConfig;
-use pathalg_engine::physical::frontier::{phi_frontier, phi_frontier_csr};
+use pathalg_engine::physical::frontier::phi_frontier;
 use pathalg_engine::physical::phi_seminaive;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
+use pathalg_pmr::parallel::{self, ParallelConfig};
+use pathalg_pmr::Pmr;
+use std::sync::Arc;
 use std::time::Duration;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -49,7 +53,7 @@ fn bench_shortest_knows(c: &mut Criterion) {
     for persons in [200usize, 800] {
         let graph = snb(persons);
         let base = knows_base(&graph);
-        let csr = CsrGraph::with_label(&graph, "Knows");
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&graph, "Knows")]);
         group.bench_with_input(BenchmarkId::new("seminaive", persons), &base, |b, base| {
             b.iter(|| {
                 phi_seminaive(PathSemantics::Shortest, base, &cfg)
@@ -71,16 +75,22 @@ fn bench_shortest_knows(c: &mut Criterion) {
                 },
             );
         }
-        // The CSR-native fast path: expansion directly over the
-        // label-restricted adjacency snapshot, base never materialised.
-        let exec = ExecutionConfig::with_threads(4);
+        // The production kernel: the PMR expanding straight off the
+        // label-restricted adjacency snapshot, drained in per-source batches
+        // on four workers.
+        let config = ParallelConfig {
+            threads: 4,
+            batch_size: ExecutionConfig::default().batch_size,
+        };
         group.bench_with_input(
-            BenchmarkId::new("frontier_csr/t4", persons),
-            &csr,
-            |b, csr| {
+            BenchmarkId::new("pmr_drain/t4", persons),
+            &hops,
+            |b, hops| {
                 b.iter(|| {
-                    phi_frontier_csr(csr, PathSemantics::Shortest, &cfg, &exec)
+                    let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Shortest, cfg);
+                    parallel::enumerate_all(&factory, &factory().sources(), None, &config, None)
                         .unwrap()
+                        .paths
                         .len()
                 })
             },

@@ -33,12 +33,17 @@ pub fn default_rules() -> Vec<Box<dyn RewriteRule>> {
     ]
 }
 
-/// σ(a ∧ b)(X) → σa(σb(X)) when `X` is a join or a union.
+/// σ(a ∧ b)(X) → σa(σb(X)) when `X` is a join or a union — or σb(σa(X))
+/// when only `a` constrains a single endpoint.
 ///
 /// Splitting is always sound (both sides keep exactly the paths satisfying
-/// `a ∧ b`); it is only *useful* when the conjuncts can subsequently be pushed
-/// in different directions, so the rule fires only above joins and unions to
-/// avoid churning filters that sit directly on a scan.
+/// `a ∧ b`, in the input's order); it is only *useful* when the conjuncts
+/// can subsequently be pushed in different directions, so the rule fires
+/// only above joins and unions to avoid churning filters that sit directly
+/// on a scan. The conjunct that only references the first or the last node
+/// goes innermost, directly on `X`, where [`PushdownSelection`] can move it
+/// into one side of a join; a conjunct such as `is_acyclic()` that inspects
+/// the whole path stays above.
 pub struct SplitConjunctiveSelection;
 
 impl RewriteRule for SplitConjunctiveSelection {
@@ -56,12 +61,19 @@ impl RewriteRule for SplitConjunctiveSelection {
         let Condition::And(a, b) = condition else {
             return None;
         };
+        let endpoint_only =
+            |c: &Condition| c.only_references_first_node() || c.only_references_last_node();
+        let (inner, outer) = if endpoint_only(a) && !endpoint_only(b) {
+            (a, b)
+        } else {
+            (b, a)
+        };
         Some(
             input
                 .as_ref()
                 .clone()
-                .select((**b).clone())
-                .select((**a).clone()),
+                .select((**inner).clone())
+                .select((**outer).clone()),
         )
     }
 }

@@ -135,6 +135,19 @@ impl FromIterator<Path> for PathSet {
     }
 }
 
+/// Builds the set from an ordered sequence, keeping the first of any
+/// duplicates. The sequence becomes the set's own storage and the index is
+/// sized once up front, so a caller that collected distinct paths into a
+/// `Vec` pays neither regrowth nor a second copy of the sequence.
+impl From<Vec<Path>> for PathSet {
+    fn from(mut paths: Vec<Path>) -> Self {
+        let mut index: FastSet<Path> =
+            HashSet::with_capacity_and_hasher(paths.len(), FastBuild::default());
+        paths.retain(|p| index.insert(p.clone()));
+        Self { paths, index }
+    }
+}
+
 impl IntoIterator for PathSet {
     type Item = Path;
     type IntoIter = std::vec::IntoIter<Path>;
@@ -173,6 +186,16 @@ impl fmt::Display for PathSet {
 mod tests {
     use super::*;
     use pathalg_graph::fixtures::figure1::Figure1;
+
+    #[test]
+    fn from_vec_keeps_order_and_the_first_of_duplicates() {
+        use pathalg_graph::ids::NodeId;
+        let (a, b) = (Path::node(NodeId(1)), Path::node(NodeId(2)));
+        let set = PathSet::from(vec![b.clone(), a.clone(), b.clone()]);
+        assert_eq!(set.as_slice(), &[b.clone(), a.clone()]);
+        assert!(set.contains(&a) && set.contains(&b));
+        assert!(PathSet::from(Vec::new()).is_empty());
+    }
 
     #[test]
     fn nodes_and_edges_atoms_match_the_graph() {

@@ -12,7 +12,7 @@ use crate::exec::ExecutionConfig;
 use pathalg_core::condition::{Accessor, Condition, Position};
 use pathalg_core::expr::PlanExpr;
 use pathalg_core::ops::projection::Take;
-use pathalg_core::ops::recursive::PathSemantics;
+use pathalg_core::ops::recursive::{PathSemantics, RecursionConfig};
 use pathalg_graph::stats::GraphStats;
 
 /// Default selectivity of a property-equality predicate when nothing better is
@@ -112,42 +112,8 @@ fn leaf(cardinality: f64) -> CostEstimate {
     }
 }
 
-/// The physical implementations of ϕ the engine can dispatch a `Recursive`
-/// node to (see [`crate::physical`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhiImpl {
-    /// The semi-naïve fixpoint — lowest setup cost, best for tiny bases.
-    Seminaive,
-    /// The parallel per-source frontier engine
-    /// ([`crate::physical::frontier::phi_frontier`]).
-    Frontier,
-    /// The BFS specialised to Shortest semantics
-    /// ([`crate::physical::phi_bfs_shortest`]).
-    BfsShortest,
-    /// The lazy compact path-multiset representation (`pathalg-pmr`):
-    /// chosen when a plan's root is a slicing π pipeline over a recursive
-    /// label scan or label-scan join chain ([`choose_pipeline_impl`]), or
-    /// for a root-level serial ϕ over such a chain
-    /// ([`choose_scan_phi_impl`]) where the PMR's prefix-sharing arena
-    /// replaces join materialisation and per-path storage.
-    PmrLazy,
-}
-
-impl PhiImpl {
-    /// Short display name used by `EXPLAIN` strategy lines and the `repro
-    /// joins` decision table.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PhiImpl::Seminaive => "seminaive",
-            PhiImpl::Frontier => "frontier",
-            PhiImpl::BfsShortest => "bfs-shortest",
-            PhiImpl::PmrLazy => "pmr-lazy",
-        }
-    }
-}
-
-/// A stats-driven estimate of one recursive closure, the input of the
-/// adaptive strategy choice ([`choose_phi_impl`], [`choose_pipeline_impl`]).
+/// A stats-driven estimate of one recursive closure, an input of the
+/// strategy decision ([`choose_strategy`]).
 /// The numbers are coarse on purpose — they only ever change *which* of the
 /// result-identical physical implementations runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -232,7 +198,7 @@ fn closure_estimate_from(
 /// The expansion horizon charged to a closure estimate: the recursion bound
 /// expressed in `seg_len`-edge levels when one is set, capped by the fixed
 /// [`RECURSION_HORIZON`].
-fn closure_levels(recursion: &pathalg_core::ops::recursive::RecursionConfig, seg_len: f64) -> f64 {
+fn closure_levels(recursion: &RecursionConfig, seg_len: f64) -> f64 {
     recursion
         .max_length
         .map(|l| (l as f64 / seg_len).floor().max(1.0))
@@ -263,7 +229,7 @@ pub fn estimate_closure(
     stats: &GraphStats,
     labels: &[&str],
     semantics: PathSemantics,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
 ) -> ClosureEstimate {
     let seg_len = labels.len().max(1) as f64;
     let base = labels
@@ -301,7 +267,7 @@ pub fn estimate_phi(
     stats: &GraphStats,
     semantics: PathSemantics,
     base_plan: &PlanExpr,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
 ) -> ClosureEstimate {
     if let Some(chain) = base_plan.label_scan_chain() {
         return estimate_closure(stats, &chain, semantics, recursion);
@@ -323,7 +289,7 @@ pub fn estimate_phi(
 pub fn estimate_plan_closures(
     plan: &PlanExpr,
     stats: &GraphStats,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
 ) -> Vec<(String, ClosureEstimate)> {
     let mut out = Vec::new();
     collect_plan_closures(plan, stats, recursion, &mut out);
@@ -333,7 +299,7 @@ pub fn estimate_plan_closures(
 fn collect_plan_closures(
     plan: &PlanExpr,
     stats: &GraphStats,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
+    recursion: &RecursionConfig,
     out: &mut Vec<(String, ClosureEstimate)>,
 ) {
     match plan {
@@ -356,195 +322,150 @@ fn collect_plan_closures(
     }
 }
 
-/// With graph statistics available, a closure estimated below this many
-/// paths stays on the semi-naïve fixpoint even when the base exceeds
-/// [`ExecutionConfig::frontier_min_base`]: the whole evaluation is cheaper
-/// than the frontier's per-source index construction.
+/// With graph statistics available, a ϕ over a materialised base whose
+/// closure is estimated at or below this many paths runs on the semi-naïve
+/// fixpoint: the whole evaluation is cheaper than the frontier's per-source
+/// index construction.
 pub const SEMINAIVE_MAX_ESTIMATED_CLOSURE: f64 = 128.0;
 
+/// Without graph statistics, a materialised base of fewer paths than this
+/// runs on the semi-naïve fixpoint (measured on the `ablations` bench: below
+/// ~24 base paths the fixpoint's lack of setup beats the frontier's
+/// per-source batching).
+pub const SEMINAIVE_MAX_BASE: usize = 24;
+
 /// On a multi-threaded configuration, a sliced pipeline whose closure is
-/// estimated below this many paths is materialised through the parallel
-/// frontier instead of the (serial) lazy PMR: with nothing to cut, the
-/// extra workers win.
+/// estimated at or below this many paths (and does not blow up) is
+/// materialised instead of sliced: with nothing to cut, draining the closure
+/// on every worker wins.
 pub const PARALLEL_MATERIALIZE_MAX_CLOSURE: f64 = 512.0;
 
-/// Picks the physical implementation for one ϕ node.
-///
-/// Called by the engine evaluator *after* the base relation is materialised,
-/// so the decision uses the exact base cardinality; when graph statistics
-/// are available ([`crate::exec::EngineEvaluator::with_graph_stats`]) the
-/// static base-size thresholds are replaced by the closure estimate — a
-/// predicted blow-up inflates `estimate.paths` past
-/// [`SEMINAIVE_MAX_ESTIMATED_CLOSURE`] and goes to the frontier engine even
-/// for tiny bases (where the static threshold would keep the fixpoint), and
-/// a predicted-tiny closure stays on the fixpoint even for larger bases.
-/// Any multi-threaded configuration forces the frontier engine — it is the
-/// only implementation that can use the extra threads, and its
-/// deterministic merge keeps results order-stable. All choices produce the
-/// same path set (cross-validated in `tests/cross_validation.rs`), so this
-/// function only ever affects performance.
-pub fn choose_phi_impl(
-    semantics: PathSemantics,
-    base_paths: usize,
-    exec: &ExecutionConfig,
-    estimate: Option<&ClosureEstimate>,
-) -> PhiImpl {
-    if exec.threads > 1 {
-        return PhiImpl::Frontier;
-    }
-    match estimate {
-        Some(est) => {
-            if est.paths <= SEMINAIVE_MAX_ESTIMATED_CLOSURE {
-                return PhiImpl::Seminaive;
-            }
-        }
-        None => {
-            if base_paths < exec.frontier_min_base {
-                return PhiImpl::Seminaive;
-            }
-        }
-    }
-    if semantics == PathSemantics::Shortest && base_paths <= exec.bfs_shortest_max_base {
-        return PhiImpl::BfsShortest;
-    }
-    PhiImpl::Frontier
-}
-
-/// A non-root join chain whose closure is estimated above this many paths
-/// is dispatched to the lazy arena join even though its parent needs the
-/// materialised set: skipping the hash join and per-path storage during the
-/// expansion dominates once the closure (or the joined base) is
-/// substantial.
-pub const CHAIN_LAZY_MIN_ESTIMATED_CLOSURE: f64 = 256.0;
-
-/// Picks the physical implementation for a `ϕ` node over a label scan or a
-/// join chain of label scans (`chain_len` hops), which never materialises
-/// its base relation.
-///
-/// A *root-level* multi-hop chain goes to the lazy arena join
-/// ([`PhiImpl::PmrLazy`]) at **any** thread count — the expansion skips the
-/// hash join and the base `PathSet` entirely, and multi-threaded
-/// configurations run it through the per-source batch scheduler
-/// (`pathalg_pmr::parallel`) with a byte-identical merged order. A
-/// *non-root* chain consults the closure estimate: a predicted-substantial
-/// closure ([`CHAIN_LAZY_MIN_ESTIMATED_CLOSURE`]) or a predicted blow-up
-/// also takes the arena join (its output feeds the parent materialised
-/// either way); small closures keep the frontier, whose setup is cheaper.
-/// Root-level *serial* ϕShortest single scans keep the §8 rule (the
-/// prefix-sharing arena replaces per-path materialisation during the
-/// saturating BFS). Unbounded Walk stays on the materialising path so the
-/// infinite-answer error surfaces exactly as the reference reports it. All
-/// choices produce byte-identical output sequences.
-pub fn choose_scan_phi_impl(
-    semantics: PathSemantics,
-    exec: &ExecutionConfig,
-    at_root: bool,
-    chain_len: usize,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
-    estimate: Option<&ClosureEstimate>,
-) -> PhiImpl {
-    let walk_unbounded = semantics == PathSemantics::Walk && recursion.max_length.is_none();
-    if walk_unbounded {
-        return PhiImpl::Frontier;
-    }
-    if chain_len >= 2 {
-        if at_root {
-            return PhiImpl::PmrLazy;
-        }
-        if estimate
-            .is_some_and(|est| est.blows_up() || est.paths >= CHAIN_LAZY_MIN_ESTIMATED_CLOSURE)
-        {
-            return PhiImpl::PmrLazy;
-        }
-        return PhiImpl::Frontier;
-    }
-    if at_root && exec.threads <= 1 && semantics == PathSemantics::Shortest {
-        return PhiImpl::PmrLazy;
-    }
-    PhiImpl::Frontier
-}
-
-/// Recognises a whole plan whose root is a *slicing* γ/τ/π pipeline over a
-/// recursive label scan or label-scan join chain (optionally with an
-/// endpoint σ between γ and ϕ) — the shapes where lazy top-k enumeration
-/// ([`PhiImpl::PmrLazy`]) turns a worst-case-exponential evaluation into an
-/// output-linear one — and returns the recognised
-/// [`pathalg_core::slice::SlicePlan`] so the
-/// evaluator need not re-derive it. Returns `None` when the plan must be
-/// evaluated by materialising (not sliceable, base not a scan chain, a
-/// non-endpoint filter, or an unbounded Walk, whose infinite-answer
-/// detection requires driving the expansion — see
-/// [`pathalg_core::slice::SlicePlan::lazy_eligible`]).
-pub fn choose_pipeline_impl<'a>(
-    plan: &'a pathalg_core::expr::PlanExpr,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
-) -> Option<pathalg_core::slice::SlicePlan<'a>> {
-    plan.sliceable_pipeline()
-        .filter(|sliced| sliced.lazy_eligible(recursion))
-}
-
-/// How a lazily evaluated sliced pipeline is scheduled.
+/// How a PMR enumeration is scheduled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LazyMode {
-    /// One serial enumeration ([`pathalg_pmr::Pmr::sliced`]).
+    /// One serial enumeration ([`pathalg_pmr::Pmr`]).
     Serial,
     /// Per-source batch scheduling over the configured worker threads
     /// (`pathalg_pmr::parallel`), byte-identical to the serial order.
     Parallel,
 }
 
-/// The adaptive variant of [`choose_pipeline_impl`] — per node it picks one
-/// of **three** strategies instead of hard-falling-back:
-///
-/// * *parallel frontier* (returns `None`): a multi-threaded configuration
-///   whose closure is estimated tiny ([`PARALLEL_MATERIALIZE_MAX_CLOSURE`])
-///   and non-exploding — with nothing to cut, materialising on all workers
-///   wins;
-/// * *parallel lazy* ([`LazyMode::Parallel`]): every other multi-threaded
-///   case without a `max_paths` bound — the batch scheduler keeps the lazy
-///   cut **and** the workers;
-/// * *serial lazy* ([`LazyMode::Serial`]): single-threaded configurations —
-///   and `max_paths`-bounded runs of *cross-source-coupled* specs (a
-///   partition limit, or the γ∅ global cap). Those limits make the serial
-///   enumeration stop mid-schedule, so parallel workers would claim budget
-///   for sources the serial run never expands; uncoupled specs expand every
-///   source identically on either schedule, so their shared-budget claim
-///   accounting matches the serial outcome exactly and they stay parallel.
-///
-/// The returned estimate (when stats were available) feeds the `EXPLAIN`
-/// strategy report and seeds the per-source batch weights.
-#[allow(clippy::type_complexity)]
-pub fn choose_pipeline_strategy<'a>(
-    plan: &'a pathalg_core::expr::PlanExpr,
-    recursion: &pathalg_core::ops::recursive::RecursionConfig,
-    exec: &ExecutionConfig,
-    stats: Option<&GraphStats>,
-) -> Option<(
-    pathalg_core::slice::SlicePlan<'a>,
-    Option<ClosureEstimate>,
-    LazyMode,
-)> {
-    let sliced = choose_pipeline_impl(plan, recursion)?;
-    let estimate = stats.map(|s| {
-        let chain = sliced
-            .base
-            .label_scan_chain()
-            .expect("lazy_eligible checked the base is a scan chain");
-        estimate_closure(s, &chain, sliced.semantics, recursion)
-    });
-    if exec.threads > 1 {
-        if let Some(est) = &estimate {
-            if !est.blows_up() && est.paths <= PARALLEL_MATERIALIZE_MAX_CLOSURE {
-                return None;
-            }
-        }
-        let claim_coupled = sliced.spec.max_partitions.is_some()
-            || sliced.spec.group_key == pathalg_core::ops::group_by::GroupKey::Empty;
-        if recursion.max_paths.is_none() || !claim_coupled {
-            return Some((sliced, estimate, LazyMode::Parallel));
+/// The physical strategy of one ϕ node or sliced pipeline — the outcome of
+/// the engine's one strategy decision, [`choose_strategy`]. Every strategy
+/// produces the same answer; the choice only ever affects speed.
+#[derive(Clone, Debug)]
+pub enum Strategy<'a> {
+    /// A slicing `π(τ?(γ(σ?(ϕ(…)))))` pipeline over a label scan or
+    /// label-scan join chain, evaluated by the PMR with the projection's
+    /// limits pushed into the enumeration.
+    Sliced(pathalg_core::slice::SlicePlan<'a>, LazyMode),
+    /// A ϕ over a label scan or label-scan join chain, drained whole by the
+    /// PMR; the base is never materialised.
+    Drain(LazyMode),
+    /// A ϕ over a materialised base, on the semi-naïve fixpoint.
+    Seminaive,
+    /// A ϕ over a materialised base, on the parallel base-path frontier
+    /// ([`crate::physical::frontier::phi_frontier`]).
+    Frontier,
+}
+
+impl Strategy<'_> {
+    /// Short display name used by `EXPLAIN` strategy lines, the `repro
+    /// joins` decision table and the service's per-strategy counts.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Strategy::Sliced(_, LazyMode::Serial) => "lazy-sliced-pipeline",
+            Strategy::Sliced(_, LazyMode::Parallel) => "parallel-lazy-pipeline",
+            Strategy::Drain(_) => "pmr-lazy",
+            Strategy::Seminaive => "seminaive",
+            Strategy::Frontier => "frontier",
         }
     }
-    Some((sliced, estimate, LazyMode::Serial))
+}
+
+/// The engine's strategy decision for one plan node, with the closure
+/// estimate behind it (when `stats` are available). It returns:
+///
+/// * for a projection that roots a slicing pipeline over a ϕ whose base is
+///   a label scan or label-scan join chain
+///   ([`pathalg_core::expr::PlanExpr::sliceable_pipeline`], and
+///   [`pathalg_core::slice::SlicePlan::lazy_eligible`], which keeps
+///   unbounded Walk off the sliced path): [`Strategy::Sliced`] —
+///   *parallel* on a multi-threaded configuration, except that a run bounded
+///   by `max_paths` whose spec couples sources (a partition limit or the γ∅
+///   global cap) stays serial, since parallel workers would claim budget
+///   for sources the serial run never expands; and `None`, i.e. materialise,
+///   on a multi-threaded configuration whose closure is estimated tiny and
+///   not blowing up ([`PARALLEL_MATERIALIZE_MAX_CLOSURE`]);
+/// * for a ϕ over a label scan or label-scan join chain: [`Strategy::Drain`]
+///   at every position in the plan, every thread count and under all five
+///   semantics;
+/// * for a ϕ over any other base, whose materialised size is `base_paths`:
+///   [`Strategy::Frontier`] on a multi-threaded configuration (it is the
+///   only materialised-base kernel that uses the threads); otherwise
+///   [`Strategy::Seminaive`] when the closure is estimated tiny
+///   ([`SEMINAIVE_MAX_ESTIMATED_CLOSURE`]) or, without statistics, the base
+///   is ([`SEMINAIVE_MAX_BASE`]), and [`Strategy::Frontier`] beyond;
+/// * `None` for every other node.
+///
+/// # Panics
+///
+/// When asked about a ϕ over a materialised base without its size.
+pub fn choose_strategy<'a>(
+    expr: &'a PlanExpr,
+    base_paths: Option<usize>,
+    recursion: &RecursionConfig,
+    exec: &ExecutionConfig,
+    stats: Option<&GraphStats>,
+) -> Option<(Strategy<'a>, Option<ClosureEstimate>)> {
+    let lazy = if exec.threads > 1 {
+        LazyMode::Parallel
+    } else {
+        LazyMode::Serial
+    };
+    match expr {
+        PlanExpr::Projection { .. } => {
+            let sliced = expr
+                .sliceable_pipeline()
+                .filter(|sliced| sliced.lazy_eligible(recursion))?;
+            let estimate = stats.map(|s| estimate_phi(s, sliced.semantics, sliced.base, recursion));
+            let mut mode = lazy;
+            if lazy == LazyMode::Parallel {
+                if estimate.is_some_and(|est| {
+                    !est.blows_up() && est.paths <= PARALLEL_MATERIALIZE_MAX_CLOSURE
+                }) {
+                    return None;
+                }
+                let claim_coupled = sliced.spec.max_partitions.is_some()
+                    || sliced.spec.group_key == pathalg_core::ops::group_by::GroupKey::Empty;
+                if recursion.max_paths.is_some() && claim_coupled {
+                    mode = LazyMode::Serial;
+                }
+            }
+            Some((Strategy::Sliced(sliced, mode), estimate))
+        }
+        PlanExpr::Recursive { semantics, input } => {
+            let estimate = stats.map(|s| estimate_phi(s, *semantics, input, recursion));
+            let strategy = if input.label_scan_chain().is_some() {
+                Strategy::Drain(lazy)
+            } else {
+                let tiny = match &estimate {
+                    Some(est) => est.paths <= SEMINAIVE_MAX_ESTIMATED_CLOSURE,
+                    None => {
+                        base_paths.expect("a materialised base comes with its size")
+                            < SEMINAIVE_MAX_BASE
+                    }
+                };
+                if tiny && lazy == LazyMode::Serial {
+                    Strategy::Seminaive
+                } else {
+                    Strategy::Frontier
+                }
+            };
+            Some((strategy, estimate))
+        }
+        _ => None,
+    }
 }
 
 /// Estimated fraction of paths satisfying a condition.
@@ -600,7 +521,6 @@ mod tests {
     use super::*;
     use pathalg_core::condition::Condition;
     use pathalg_core::ops::projection::ProjectionSpec;
-    use pathalg_core::ops::recursive::RecursionConfig;
     use pathalg_core::GroupKey;
     use pathalg_graph::fixtures::figure1::figure1_graph;
     use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
@@ -673,53 +593,69 @@ mod tests {
         assert!(cs.cost <= cw.cost);
     }
 
+    /// A ϕ over a union of two scans: a base the engine must materialise.
+    fn union_base() -> PlanExpr {
+        knows_scan().union(PlanExpr::edges().select(Condition::edge_label(1, "Likes")))
+    }
+
+    /// The strategy name of a ϕ node, without statistics.
+    fn phi_strategy(plan: &PlanExpr, base_paths: usize, exec: &ExecutionConfig) -> &'static str {
+        choose_strategy(
+            plan,
+            Some(base_paths),
+            &RecursionConfig::default(),
+            exec,
+            None,
+        )
+        .unwrap()
+        .0
+        .name()
+    }
+
     #[test]
     fn phi_impl_choice_covers_all_three_implementations() {
         use PathSemantics::*;
         let serial = ExecutionConfig::default();
         let parallel = ExecutionConfig::with_threads(4);
-        // Any parallel configuration forces the frontier engine.
+        let materialised = |s| union_base().recursive(s);
+        // Any parallel configuration puts a materialised base on the
+        // frontier engine.
+        assert_eq!(phi_strategy(&materialised(Trail), 4, &parallel), "frontier");
         assert_eq!(
-            choose_phi_impl(Trail, 4, &parallel, None),
-            PhiImpl::Frontier
+            phi_strategy(&materialised(Shortest), 4, &parallel),
+            "frontier"
         );
+        // Tiny bases stay on the semi-naïve fixpoint…
+        assert_eq!(phi_strategy(&materialised(Trail), 4, &serial), "seminaive");
         assert_eq!(
-            choose_phi_impl(Shortest, 4, &parallel, None),
-            PhiImpl::Frontier
+            phi_strategy(&materialised(Shortest), 23, &serial),
+            "seminaive"
         );
-        // Tiny bases stay on the semi-naïve fixpoint.
-        assert_eq!(choose_phi_impl(Trail, 4, &serial, None), PhiImpl::Seminaive);
+        // …everything else uses the frontier engine.
         assert_eq!(
-            choose_phi_impl(Shortest, 4, &serial, None),
-            PhiImpl::Seminaive
+            phi_strategy(&materialised(Shortest), 24, &serial),
+            "frontier"
         );
-        // Medium Shortest bases go to the specialised BFS…
-        assert_eq!(
-            choose_phi_impl(Shortest, 64, &serial, None),
-            PhiImpl::BfsShortest
-        );
-        // …while everything else at scale uses the frontier engine.
-        assert_eq!(choose_phi_impl(Trail, 64, &serial, None), PhiImpl::Frontier);
-        assert_eq!(
-            choose_phi_impl(Shortest, 5000, &serial, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_phi_impl(Walk, 5000, &serial, None),
-            PhiImpl::Frontier
-        );
-        // The static thresholds are configuration, not magic numbers.
-        let tuned = ExecutionConfig {
-            frontier_min_base: 2,
-            bfs_shortest_max_base: 3,
-            ..ExecutionConfig::default()
-        };
-        assert_eq!(choose_phi_impl(Trail, 4, &tuned, None), PhiImpl::Frontier);
-        assert_eq!(
-            choose_phi_impl(Shortest, 64, &tuned, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(choose_phi_impl(Trail, 1, &tuned, None), PhiImpl::Seminaive);
+        assert_eq!(phi_strategy(&materialised(Walk), 5000, &serial), "frontier");
+        // A label scan or join chain is drained by the PMR whatever its
+        // size, semantics or thread count.
+        for exec in [&serial, &parallel] {
+            for semantics in PathSemantics::ALL {
+                assert_eq!(
+                    phi_strategy(&knows_scan().recursive(semantics), 0, exec),
+                    "pmr-lazy"
+                );
+            }
+        }
+        // Nodes that are neither ϕ nor a sliced pipeline get no strategy.
+        assert!(choose_strategy(
+            &knows_scan(),
+            None,
+            &RecursionConfig::default(),
+            &serial,
+            None
+        )
+        .is_none());
     }
 
     #[test]
@@ -760,148 +696,93 @@ mod tests {
         use pathalg_graph::generator::structured::{chain_graph, complete_graph};
         let serial = ExecutionConfig::default();
         let recursion = RecursionConfig::default();
-        // Tiny cyclic base that explodes: the estimator sends it to the
-        // frontier where the static threshold would have kept the fixpoint.
-        let dense = GraphStats::compute(&complete_graph(5, "k"));
-        let est = estimate_closure(&dense, &["k"], PathSemantics::Trail, &recursion);
-        assert_eq!(
-            choose_phi_impl(PathSemantics::Trail, 20, &serial, Some(&est)),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_phi_impl(PathSemantics::Trail, 20, &serial, None),
-            PhiImpl::Seminaive
-        );
-        // Acyclic base whose closure stays tiny: the estimator keeps the
-        // fixpoint where the static base threshold (tightened here to make
-        // the contrast visible at this scale) would pay for the frontier.
-        let tuned = ExecutionConfig {
-            frontier_min_base: 4,
-            ..ExecutionConfig::default()
+        let with_stats = |plan: &PlanExpr, base: usize, stats: &GraphStats| {
+            let (strategy, est) =
+                choose_strategy(plan, Some(base), &recursion, &serial, Some(stats)).unwrap();
+            (strategy.name(), est.expect("statistics give an estimate"))
         };
+        // A tiny materialised base whose closure explodes: the estimator
+        // sends it to the frontier where the static threshold would have
+        // kept the fixpoint.
+        let dense = GraphStats::compute(&complete_graph(5, "k"));
+        let scan_k = || PlanExpr::edges().select(Condition::edge_label(1, "k"));
+        let exploding = scan_k().union(scan_k()).recursive(PathSemantics::Trail);
+        let (name, est) = with_stats(&exploding, 20, &dense);
+        assert!(est.blows_up());
+        assert_eq!(name, "frontier");
+        assert_eq!(phi_strategy(&exploding, 20, &serial), "seminaive");
+        // A base at the static threshold whose closure stays tiny: the
+        // estimator keeps the fixpoint where the base-size rule would pay
+        // for the frontier.
         let sparse = GraphStats::compute(&chain_graph(11, "k"));
-        let est = estimate_closure(&sparse, &["k"], PathSemantics::Acyclic, &recursion);
+        let saturating = PlanExpr::nodes().recursive(PathSemantics::Acyclic);
+        let (name, est) = with_stats(&saturating, SEMINAIVE_MAX_BASE, &sparse);
         assert!(est.paths <= SEMINAIVE_MAX_ESTIMATED_CLOSURE);
+        assert_eq!(name, "seminaive");
         assert_eq!(
-            choose_phi_impl(PathSemantics::Acyclic, 10, &tuned, Some(&est)),
-            PhiImpl::Seminaive
+            phi_strategy(&saturating, SEMINAIVE_MAX_BASE, &serial),
+            "frontier"
         );
-        assert_eq!(
-            choose_phi_impl(PathSemantics::Acyclic, 10, &tuned, None),
-            PhiImpl::Frontier
-        );
+        // Statistics never move a scan chain off the PMR.
+        let (name, _) = with_stats(&scan_k().recursive(PathSemantics::Trail), 0, &dense);
+        assert_eq!(name, "pmr-lazy");
     }
 
     #[test]
     fn scan_and_pipeline_choosers_pick_pmr_lazy_where_it_pays() {
         use pathalg_core::ops::projection::{ProjectionSpec, Take};
-        use pathalg_core::ops::recursive::RecursionConfig;
-        use pathalg_core::GroupKey;
 
         let serial = ExecutionConfig::default();
         let parallel = ExecutionConfig::with_threads(4);
-        let rec = RecursionConfig::default();
-        // Root-level serial ϕShortest scans take the PMR…
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Shortest, &serial, true, 1, &rec, None),
-            PhiImpl::PmrLazy
-        );
-        // …but non-root, parallel, or non-Shortest single scans stay on the
-        // frontier.
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Shortest, &serial, false, 1, &rec, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Shortest, &parallel, true, 1, &rec, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, true, 1, &rec, None),
-            PhiImpl::Frontier
-        );
-        // Root-level join chains take the lazy arena join under every
-        // bounded semantics — in parallel configurations too, where the
-        // enumeration runs through the per-source batch scheduler…
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, true, 2, &rec, None),
-            PhiImpl::PmrLazy
-        );
-        assert_eq!(
-            choose_scan_phi_impl(
-                PathSemantics::Walk,
-                &serial,
-                true,
-                2,
-                &RecursionConfig::with_max_length(4),
-                None
-            ),
-            PhiImpl::PmrLazy
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &parallel, true, 2, &rec, None),
-            PhiImpl::PmrLazy
-        );
-        // …but unbounded Walk keeps the materialising error-detection path.
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Walk, &serial, true, 2, &rec, None),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Walk, &parallel, true, 2, &rec, None),
-            PhiImpl::Frontier
-        );
-        // Non-root chains consult the estimator instead of silently
-        // materialising: a predicted-substantial closure takes the arena
-        // join, a predicted-tiny one keeps the frontier, and without
-        // statistics the static rule stays conservative.
-        let big = ClosureEstimate {
-            base: 500.0,
-            expansion: 2.0,
-            cyclic: true,
-            levels: 8.0,
-            paths: 100_000.0,
-        };
-        let tiny = ClosureEstimate {
-            base: 4.0,
-            expansion: 0.5,
-            cyclic: false,
-            levels: 8.0,
-            paths: 8.0,
-        };
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, false, 2, &rec, Some(&big)),
-            PhiImpl::PmrLazy
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, false, 2, &rec, Some(&tiny)),
-            PhiImpl::Frontier
-        );
-        assert_eq!(
-            choose_scan_phi_impl(PathSemantics::Trail, &serial, false, 2, &rec, None),
-            PhiImpl::Frontier
-        );
+        let likes_creator = PlanExpr::edges()
+            .select(Condition::edge_label(1, "Likes"))
+            .join(PlanExpr::edges().select(Condition::edge_label(1, "Has_creator")));
+        // Label scans and join chains are drained by the PMR under all five
+        // semantics, unbounded Walk included, serially on one thread and in
+        // batches on more.
+        for base in [knows_scan(), likes_creator] {
+            for semantics in PathSemantics::ALL {
+                for recursion in [RecursionConfig::default(), RecursionConfig::unbounded()] {
+                    let plan = base.clone().recursive(semantics);
+                    for (exec, mode) in
+                        [(&serial, LazyMode::Serial), (&parallel, LazyMode::Parallel)]
+                    {
+                        let (strategy, _) =
+                            choose_strategy(&plan, None, &recursion, exec, None).unwrap();
+                        assert!(
+                            matches!(strategy, Strategy::Drain(m) if m == mode),
+                            "{plan}: {strategy:?}"
+                        );
+                    }
+                }
+            }
+        }
 
         let recursion = RecursionConfig::default();
-        let sliced = knows_scan()
-            .recursive(PathSemantics::Trail)
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
-        assert!(choose_pipeline_impl(&sliced, &recursion).is_some());
+        let sliced_plan = |semantics| {
+            knows_scan()
+                .recursive(semantics)
+                .group_by(GroupKey::SourceTarget)
+                .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)))
+        };
+        let is_sliced = |plan: &PlanExpr, recursion: &RecursionConfig| {
+            matches!(
+                choose_strategy(plan, None, recursion, &serial, None),
+                Some((Strategy::Sliced(..), _))
+            )
+        };
+        assert!(is_sliced(&sliced_plan(PathSemantics::Trail), &recursion));
         // π(*,*,*) slices nothing.
         let all = knows_scan()
             .recursive(PathSemantics::Trail)
             .group_by(GroupKey::SourceTarget)
             .project(ProjectionSpec::all());
-        assert!(choose_pipeline_impl(&all, &recursion).is_none());
-        // Unbounded Walk must keep the materialised infinite-answer check;
-        // with a bound the lazy pipeline applies.
-        let walk = knows_scan()
-            .recursive(PathSemantics::Walk)
-            .group_by(GroupKey::SourceTarget)
-            .project(ProjectionSpec::new(Take::All, Take::All, Take::Count(1)));
-        assert!(choose_pipeline_impl(&walk, &RecursionConfig::unbounded()).is_none());
-        assert!(choose_pipeline_impl(&walk, &RecursionConfig::with_max_length(4)).is_some());
+        assert!(!is_sliced(&all, &recursion));
+        // Unbounded Walk keeps the materialised infinite-answer check; with
+        // a bound the lazy pipeline applies.
+        let walk = sliced_plan(PathSemantics::Walk);
+        assert!(!is_sliced(&walk, &RecursionConfig::unbounded()));
+        assert!(is_sliced(&walk, &RecursionConfig::with_max_length(4)));
     }
 
     #[test]
@@ -951,21 +832,30 @@ mod tests {
         let recursion = RecursionConfig::default();
         let serial = ExecutionConfig::default();
         let parallel = ExecutionConfig::with_threads(4);
+        let mode = |plan: &PlanExpr,
+                    recursion: &RecursionConfig,
+                    exec: &ExecutionConfig,
+                    stats: Option<&GraphStats>| {
+            match choose_strategy(plan, None, recursion, exec, stats) {
+                Some((Strategy::Sliced(_, mode), est)) => Some((mode, est)),
+                None => None,
+                Some(other) => panic!("a pipeline decided {other:?}"),
+            }
+        };
         // Serial configurations slice serially.
-        let (_, _, mode) = choose_pipeline_strategy(&plan, &recursion, &serial, None).unwrap();
-        assert_eq!(mode, LazyMode::Serial);
+        let (m, _) = mode(&plan, &recursion, &serial, None).unwrap();
+        assert_eq!(m, LazyMode::Serial);
         // Parallel without statistics: lazy, scheduled in batches.
-        let (_, _, mode) = choose_pipeline_strategy(&plan, &recursion, &parallel, None).unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
-        // Parallel + provably tiny closure: hand back to the parallel
-        // frontier (the graph is a short Knows chain).
+        let (m, _) = mode(&plan, &recursion, &parallel, None).unwrap();
+        assert_eq!(m, LazyMode::Parallel);
+        // Parallel + provably tiny closure: materialise on every worker (the
+        // graph is a short Knows chain).
         let sparse = GraphStats::compute(&chain_graph(6, "Knows"));
-        assert!(choose_pipeline_strategy(&plan, &recursion, &parallel, Some(&sparse)).is_none());
+        assert!(mode(&plan, &recursion, &parallel, Some(&sparse)).is_none());
         // Parallel + predicted blow-up: parallel lazy, with the estimate.
         let dense = GraphStats::compute(&complete_graph(6, "Knows"));
-        let (_, est, mode) =
-            choose_pipeline_strategy(&plan, &recursion, &parallel, Some(&dense)).unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
+        let (m, est) = mode(&plan, &recursion, &parallel, Some(&dense)).unwrap();
+        assert_eq!(m, LazyMode::Parallel);
         assert!(est.unwrap().blows_up());
         // A max_paths bound forces the serial enumeration only for
         // cross-source-coupled specs (partition limit / γ∅), whose serial
@@ -975,9 +865,8 @@ mod tests {
             max_length: None,
             max_paths: Some(100),
         };
-        let (_, _, mode) =
-            choose_pipeline_strategy(&plan, &bounded, &parallel, Some(&dense)).unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
+        let (m, _) = mode(&plan, &bounded, &parallel, Some(&dense)).unwrap();
+        assert_eq!(m, LazyMode::Parallel);
         let coupled = knows_scan()
             .recursive(PathSemantics::Trail)
             .group_by(GroupKey::Source)
@@ -986,10 +875,9 @@ mod tests {
                 Take::All,
                 Take::Count(3),
             ));
-        let (_, _, mode) =
-            choose_pipeline_strategy(&coupled, &bounded, &parallel, Some(&dense)).unwrap();
-        assert_eq!(mode, LazyMode::Serial);
-        let (_, _, mode) = choose_pipeline_strategy(
+        let (m, _) = mode(&coupled, &bounded, &parallel, Some(&dense)).unwrap();
+        assert_eq!(m, LazyMode::Serial);
+        let (m, _) = mode(
             &coupled,
             &RecursionConfig {
                 max_length: None,
@@ -999,7 +887,7 @@ mod tests {
             Some(&dense),
         )
         .unwrap();
-        assert_eq!(mode, LazyMode::Parallel);
+        assert_eq!(m, LazyMode::Parallel);
     }
 
     #[test]

@@ -4,29 +4,29 @@
 //! *reference* interpreter: one algorithm per operator, single-threaded,
 //! always the semi-naïve fixpoint for ϕ. [`EngineEvaluator`] is the engine's
 //! physical counterpart: it walks the same logical plans and calls the same
-//! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, but dispatches
-//! every ϕ node through the cost model
-//! ([`crate::cost::choose_phi_impl`]) to one of the physical
-//! implementations in [`crate::physical`] — including the parallel CSR-native
-//! frontier engine, configured by [`ExecutionConfig`].
+//! `pathalg-core` operator implementations for σ/⋈/∪/γ/τ/π, but hands every
+//! ϕ node and every slicing γ/τ/π pipeline to the cost model's one strategy
+//! decision ([`crate::cost::choose_strategy`]).
 //!
-//! Plans of the shape `ϕ(σ_{label(edge(1))=ℓ}(Edges(G)))` — the base relation
-//! of every `[:ℓ+]` pattern — additionally skip the base materialisation:
-//! the engine builds a label-restricted [`CsrGraph`] snapshot and expands
-//! directly over its adjacency. The collected [`EvalStats`] charge the
-//! skipped operators exactly as the reference evaluator would, so `EXPLAIN
-//! ANALYZE` output stays comparable between the two interpreters.
+//! A ϕ whose base is a label scan or a join chain of label scans — the base
+//! of every `[:ℓ+]` and `[(:ℓ1/…/:ℓk)+]` pattern — always runs on the PMR
+//! (`pathalg-pmr`), serially or in per-source batches, at any position in
+//! the plan and under all five semantics. One entry point builds it: a
+//! label-restricted [`CsrGraph`] snapshot per hop, shared by every batch
+//! worker, so the base relation is never materialised. The collected
+//! [`EvalStats`] charge the skipped operators as the reference evaluator
+//! would, so `EXPLAIN ANALYZE` output stays comparable between the two
+//! interpreters. A ϕ over any other base materialises it and runs the
+//! semi-naïve fixpoint or the parallel base-path frontier
+//! ([`crate::physical`]).
 //!
 //! Results are identical to the reference evaluator as *sets* for every
 //! plan, thread count, and batch size (cross-validated in
-//! `tests/cross_validation.rs`); the frontier engine's merge discipline
-//! additionally makes the engine's own output ordering independent of
-//! [`ExecutionConfig::threads`].
+//! `tests/cross_validation.rs`); the batch-order merges of the PMR and the
+//! frontier additionally make the engine's own output ordering independent
+//! of [`ExecutionConfig::threads`].
 
-use crate::cost::{
-    choose_phi_impl, choose_pipeline_strategy, choose_scan_phi_impl, estimate_phi, ClosureEstimate,
-    LazyMode, PhiImpl,
-};
+use crate::cost::{choose_strategy, ClosureEstimate, LazyMode, Strategy};
 use pathalg_core::budget::CancelToken;
 use pathalg_core::condition::Condition;
 use pathalg_core::error::AlgebraError;
@@ -44,6 +44,7 @@ use pathalg_core::ops::union::union;
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
 use pathalg_core::pathset_repr::PathSetRepr;
+use pathalg_core::slice::SliceSpec;
 use pathalg_core::solution_space::SolutionSpace;
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
@@ -53,8 +54,8 @@ use pathalg_pmr::parallel::{self as pmr_parallel, ParallelConfig};
 use pathalg_pmr::{EndpointFilter, Pmr};
 use std::sync::Arc;
 
-use crate::physical::frontier::{phi_frontier_csr_with_cancel, phi_frontier_with_cancel};
-use crate::physical::{phi_bfs_shortest_with_cancel, phi_seminaive};
+use crate::physical::frontier::phi_frontier_with_cancel;
+use crate::physical::phi_seminaive;
 
 /// One recorded strategy decision: which physical implementation a ϕ node or
 /// sliced pipeline was dispatched to, and the closure estimate (when graph
@@ -64,8 +65,7 @@ use crate::physical::{phi_bfs_shortest_with_cancel, phi_seminaive};
 pub struct StrategyDecision {
     /// Display form of the operator the decision applies to.
     pub operator: String,
-    /// Short name of the chosen implementation ([`PhiImpl::name`],
-    /// `"lazy-sliced-pipeline"`, or `"parallel-lazy-pipeline"`).
+    /// Short name of the chosen strategy ([`Strategy::name`]).
     pub chosen: &'static str,
     /// The worker-thread count the decision was made for
     /// ([`ExecutionConfig::threads`]) — strategy choices depend on it, so it
@@ -99,25 +99,11 @@ impl std::fmt::Display for StrategyDecision {
 /// allocations, small enough to balance skewed degree distributions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecutionConfig {
-    /// Number of worker threads for the frontier engine (≤ 1 means inline
-    /// serial execution with zero synchronisation overhead).
+    /// Number of worker threads for the PMR and the frontier engine (≤ 1
+    /// means inline serial execution with zero synchronisation overhead).
     pub threads: usize,
     /// Number of source nodes per scheduling batch.
     pub batch_size: usize,
-    /// Below this base cardinality the frontier engine's per-source index
-    /// construction is not worth its setup cost and the semi-naïve fixpoint
-    /// wins — used as the static fallback when no [`GraphStats`]-driven
-    /// closure estimate is available (see
-    /// [`crate::cost::choose_phi_impl`]). Default
-    /// [`ExecutionConfig::DEFAULT_FRONTIER_MIN_BASE`].
-    pub frontier_min_base: usize,
-    /// Up to this base cardinality the single-threaded Shortest BFS, which
-    /// shares the fixpoint's simple data structures but prunes by endpoint
-    /// distance, is competitive with the frontier engine; beyond it the
-    /// frontier's per-source distance tables and clone-free level rotation
-    /// dominate. Default
-    /// [`ExecutionConfig::DEFAULT_BFS_SHORTEST_MAX_BASE`].
-    pub bfs_shortest_max_base: usize,
 }
 
 impl Default for ExecutionConfig {
@@ -125,23 +111,11 @@ impl Default for ExecutionConfig {
         Self {
             threads: 1,
             batch_size: 32,
-            frontier_min_base: Self::DEFAULT_FRONTIER_MIN_BASE,
-            bfs_shortest_max_base: Self::DEFAULT_BFS_SHORTEST_MAX_BASE,
         }
     }
 }
 
 impl ExecutionConfig {
-    /// Default of [`ExecutionConfig::frontier_min_base`], measured on the
-    /// `ablations` bench: below ~24 base paths the fixpoint's lack of setup
-    /// beats the frontier's per-source batching.
-    pub const DEFAULT_FRONTIER_MIN_BASE: usize = 24;
-
-    /// Default of [`ExecutionConfig::bfs_shortest_max_base`]: up to ~96 base
-    /// paths the specialised Shortest BFS and the frontier are within noise
-    /// of each other; the simpler algorithm wins the tie.
-    pub const DEFAULT_BFS_SHORTEST_MAX_BASE: usize = 96;
-
     /// A configuration with `threads` workers and the default batch size.
     pub fn with_threads(threads: usize) -> Self {
         Self {
@@ -160,16 +134,16 @@ pub struct EngineEvaluator<'g> {
     cancel: Option<Arc<CancelToken>>,
     stats: EvalStats,
     work: WorkCounters,
-    depth: usize,
     lazy_pipeline_fired: bool,
     decisions: Vec<StrategyDecision>,
 }
 
 impl<'g> EngineEvaluator<'g> {
     /// Creates an evaluator over `graph` with the given recursion bounds and
-    /// execution configuration. Strategy choices fall back to the static
-    /// base-size thresholds of [`ExecutionConfig`]; attach statistics with
-    /// [`EngineEvaluator::with_graph_stats`] for the adaptive estimator.
+    /// execution configuration. Without statistics the strategy decision
+    /// falls back to exact materialised-base sizes
+    /// ([`crate::cost::SEMINAIVE_MAX_BASE`]); attach statistics with
+    /// [`EngineEvaluator::with_graph_stats`] for the closure estimator.
     pub fn new(
         graph: &'g PropertyGraph,
         recursion: RecursionConfig,
@@ -183,14 +157,13 @@ impl<'g> EngineEvaluator<'g> {
             cancel: None,
             stats: EvalStats::default(),
             work: WorkCounters::default(),
-            depth: 0,
             lazy_pipeline_fired: false,
             decisions: Vec::new(),
         }
     }
 
-    /// Attaches precomputed [`GraphStats`], switching every ϕ dispatch from
-    /// the static thresholds to the stats-driven closure estimator
+    /// Attaches precomputed [`GraphStats`], switching the strategy decision
+    /// from the static thresholds to the stats-driven closure estimator
     /// ([`crate::cost::estimate_phi`]). The runner always does this; the
     /// choice never changes results, only which implementation runs.
     pub fn with_graph_stats(mut self, stats: &'g GraphStats) -> Self {
@@ -252,14 +225,6 @@ impl<'g> EngineEvaluator<'g> {
     /// Evaluates an expression, returning paths or a solution space according
     /// to the root operator.
     pub fn eval(&mut self, expr: &PlanExpr) -> Result<EvalOutput, AlgebraError> {
-        let at_root = self.depth == 0;
-        self.depth += 1;
-        let out = self.eval_node(expr, at_root);
-        self.depth -= 1;
-        out
-    }
-
-    fn eval_node(&mut self, expr: &PlanExpr, at_root: bool) -> Result<EvalOutput, AlgebraError> {
         self.stats.operators_evaluated += 1;
         let out = match expr {
             PlanExpr::Nodes => EvalOutput::Paths(PathSet::nodes(self.graph)),
@@ -282,179 +247,7 @@ impl<'g> EngineEvaluator<'g> {
             PlanExpr::Recursive { semantics, input } => {
                 self.check_cancel()?;
                 self.stats.recursive_calls += 1;
-                let chain: Option<Vec<&str>> = input.label_scan_chain();
-                let estimate = match (&chain, self.graph_stats) {
-                    (Some(labels), Some(stats)) => Some(crate::cost::estimate_closure(
-                        stats,
-                        labels,
-                        *semantics,
-                        &self.recursion,
-                    )),
-                    (None, Some(stats)) => {
-                        Some(estimate_phi(stats, *semantics, input, &self.recursion))
-                    }
-                    _ => None,
-                };
-                let chain_choice = chain.as_ref().map(|labels| {
-                    choose_scan_phi_impl(
-                        *semantics,
-                        &self.exec,
-                        at_root,
-                        labels.len(),
-                        &self.recursion,
-                        estimate.as_ref(),
-                    )
-                });
-                match (chain, chain_choice) {
-                    (Some(labels), _) if labels.len() == 1 => {
-                        // CSR-native fast path: never materialise σℓ(Edges(G))
-                        // as a PathSet; expand over the label-restricted CSR.
-                        let label = labels[0];
-                        let csr = CsrGraph::with_label(self.graph, label);
-                        self.charge_skipped(self.graph.edge_count()); // Edges(G)
-                        self.charge_skipped(csr.edge_count()); // σ label
-                        let chosen = chain_choice.expect("chain is Some");
-                        self.record_decision(
-                            format!("ϕ{} over label scan :{label}", semantics.keyword()),
-                            chosen.name(),
-                            estimate,
-                        );
-                        let out = match chosen {
-                            // Root-level serial ϕShortest: same expansion, but
-                            // paths live as prefix-sharing PMR arena steps
-                            // until emission. Output sequence identical to
-                            // the frontier.
-                            PhiImpl::PmrLazy => {
-                                let mut pmr = Pmr::from_csr(csr, *semantics, self.recursion);
-                                if let Some(token) = &self.cancel {
-                                    pmr.share_cancel(token.clone());
-                                }
-                                let out = pmr.enumerate_all()?;
-                                self.work.merge(&pmr.work_counters());
-                                out
-                            }
-                            _ => {
-                                let out = phi_frontier_csr_with_cancel(
-                                    &csr,
-                                    *semantics,
-                                    &self.recursion,
-                                    &self.exec,
-                                    self.cancel.as_deref(),
-                                )?;
-                                // The frontier produces exactly the paths it
-                                // keeps, so its emission count matches what
-                                // the PMR reports on the same full drain.
-                                self.work.paths_emitted += out.len() as u64;
-                                out
-                            }
-                        };
-                        EvalOutput::Paths(out)
-                    }
-                    (Some(labels), Some(PhiImpl::PmrLazy)) => {
-                        // Lazy endpoint-keyed join: the per-hop CSR indexes
-                        // replace the hash join; neither join side, the join
-                        // result, nor the base PathSet is materialised.
-                        // Output sequence identical to join-then-frontier —
-                        // multi-threaded configurations enumerate through
-                        // the per-source batch scheduler, whose batch-order
-                        // merge reproduces the same sequence.
-                        self.record_decision(
-                            format!("ϕ{} over join chain {labels:?}", semantics.keyword()),
-                            PhiImpl::PmrLazy.name(),
-                            estimate,
-                        );
-                        let hops: Arc<[CsrGraph]> = labels
-                            .iter()
-                            .map(|l| CsrGraph::with_label(self.graph, l))
-                            .collect();
-                        for csr in hops.iter() {
-                            self.charge_skipped(self.graph.edge_count()); // Edges(G)
-                            self.charge_skipped(csr.edge_count()); // σ label
-                        }
-                        let (out, segments) = if self.exec.threads > 1 {
-                            let (semantics, recursion) = (*semantics, self.recursion);
-                            let cancel = self.cancel.clone();
-                            let factory = || {
-                                let mut pmr =
-                                    Pmr::from_shared_join(hops.clone(), semantics, recursion);
-                                if let Some(token) = &cancel {
-                                    pmr.share_cancel(token.clone());
-                                }
-                                pmr
-                            };
-                            let sources = factory().sources();
-                            let weights = source_weights(&hops[0], estimate.as_ref(), &sources);
-                            let run = pmr_parallel::enumerate_all(
-                                &factory,
-                                &sources,
-                                Some(&weights),
-                                &self.parallel_config(),
-                                recursion.max_paths,
-                            )?;
-                            self.work.merge(&run.work);
-                            (run.paths, run.base_segments.unwrap_or(0))
-                        } else {
-                            let mut pmr =
-                                Pmr::from_shared_join(hops.clone(), *semantics, self.recursion);
-                            if let Some(token) = &self.cancel {
-                                pmr.share_cancel(token.clone());
-                            }
-                            let out = pmr.enumerate_all()?;
-                            let segments = pmr.base_segments().unwrap_or(0);
-                            self.work.merge(&pmr.work_counters());
-                            (out, segments)
-                        };
-                        // Charge the k−1 joins with the slice of the join
-                        // output the expansion actually generated.
-                        self.stats.join_calls += labels.len() - 1;
-                        for _ in 1..labels.len() {
-                            self.charge_skipped(segments);
-                        }
-                        EvalOutput::Paths(out)
-                    }
-                    _ => {
-                        let base = self.eval_paths_internal(input, "recursive")?;
-                        let chosen =
-                            choose_phi_impl(*semantics, base.len(), &self.exec, estimate.as_ref());
-                        self.record_decision(
-                            format!(
-                                "ϕ{} over materialised base ({} paths)",
-                                semantics.keyword(),
-                                base.len()
-                            ),
-                            chosen.name(),
-                            estimate,
-                        );
-                        let out = match chosen {
-                            // The cost model only dispatches the fixpoint for
-                            // tiny bases; the arm-entry check above is its
-                            // cancellation point.
-                            PhiImpl::Seminaive => {
-                                phi_seminaive(*semantics, &base, &self.recursion)?
-                            }
-                            PhiImpl::BfsShortest => phi_bfs_shortest_with_cancel(
-                                &base,
-                                &self.recursion,
-                                self.cancel.as_deref(),
-                            )?,
-                            // `choose_phi_impl` never picks the PMR for a
-                            // materialised base — it only applies to label
-                            // scans and sliced pipelines.
-                            PhiImpl::Frontier | PhiImpl::PmrLazy => phi_frontier_with_cancel(
-                                *semantics,
-                                &base,
-                                &self.recursion,
-                                &self.exec,
-                                self.cancel.as_deref(),
-                            )?,
-                        };
-                        // Every materialised-base implementation emits
-                        // exactly its output; count it so closures that never
-                        // touch the PMR still report work.
-                        self.work.paths_emitted += out.len() as u64;
-                        EvalOutput::Paths(out)
-                    }
-                }
+                EvalOutput::Paths(self.eval_phi(expr, *semantics, input)?)
             }
             PlanExpr::GroupBy { key, input } => {
                 let input = self.eval_paths_internal(input, "group-by")?;
@@ -480,6 +273,78 @@ impl<'g> EngineEvaluator<'g> {
         Ok(out)
     }
 
+    /// Evaluates the ϕ node `expr` (`ϕ_semantics(input)`) with the strategy
+    /// the cost model decides: a label scan or join chain is drained by the
+    /// PMR, any other base is materialised first and closed by the
+    /// semi-naïve fixpoint or the base-path frontier.
+    fn eval_phi(
+        &mut self,
+        expr: &PlanExpr,
+        semantics: PathSemantics,
+        input: &PlanExpr,
+    ) -> Result<PathSet, AlgebraError> {
+        let kw = semantics.keyword();
+        if let Some(labels) = input.label_scan_chain() {
+            let (strategy, estimate) =
+                choose_strategy(expr, None, &self.recursion, &self.exec, self.graph_stats)
+                    .expect("every ϕ node gets a strategy");
+            let Strategy::Drain(mode) = strategy else {
+                unreachable!("a ϕ over a scan chain is drained by the PMR")
+            };
+            let operator = match labels.as_slice() {
+                [label] => format!("ϕ{kw} over label scan :{label}"),
+                _ => format!("ϕ{kw} over join chain {labels:?}"),
+            };
+            self.record_decision(operator, strategy.name(), estimate);
+            let scan = self.lazy_scan(&labels, semantics, EndpointFilter::default());
+            for csr in scan.hops.iter() {
+                self.charge_skipped(self.graph.edge_count()); // Edges(G)
+                self.charge_skipped(csr.edge_count()); // σ label
+            }
+            let run = self.run_lazy(&scan, None, mode, estimate.as_ref())?;
+            // Charge the k−1 joins with the slice of the join output the
+            // expansion actually generated.
+            self.stats.join_calls += labels.len() - 1;
+            for _ in 1..labels.len() {
+                self.charge_skipped(run.base_segments);
+            }
+            return Ok(run.paths);
+        }
+        let base = self.eval_paths_internal(input, "recursive")?;
+        let (strategy, estimate) = choose_strategy(
+            expr,
+            Some(base.len()),
+            &self.recursion,
+            &self.exec,
+            self.graph_stats,
+        )
+        .expect("every ϕ node gets a strategy");
+        self.record_decision(
+            format!("ϕ{kw} over materialised base ({} paths)", base.len()),
+            strategy.name(),
+            estimate,
+        );
+        let out = match strategy {
+            // The cost model only dispatches the fixpoint for tiny closures;
+            // the ϕ entry check is its cancellation point.
+            Strategy::Seminaive => phi_seminaive(semantics, &base, &self.recursion)?,
+            Strategy::Frontier => phi_frontier_with_cancel(
+                semantics,
+                &base,
+                &self.recursion,
+                &self.exec,
+                self.cancel.as_deref(),
+            )?,
+            Strategy::Sliced(..) | Strategy::Drain(_) => {
+                unreachable!("a materialised base is closed by the fixpoint or the frontier")
+            }
+        };
+        // Both materialised-base implementations emit exactly their output;
+        // count it so closures that never touch the PMR still report work.
+        self.work.paths_emitted += out.len() as u64;
+        Ok(out)
+    }
+
     /// Evaluates a recognised sliceable pipeline
     /// (`π(τA?(γψ(σ?(ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))))))`, see
     /// [`pathalg_core::slice`]) through the lazy PMR, pulling only the paths
@@ -495,26 +360,29 @@ impl<'g> EngineEvaluator<'g> {
     /// reference evaluator would report, since avoiding that work is the
     /// point of the strategy.
     fn try_sliced_pipeline(&mut self, expr: &PlanExpr) -> Result<Option<PathSet>, AlgebraError> {
-        let Some((plan, estimate, mode)) =
-            choose_pipeline_strategy(expr, &self.recursion, &self.exec, self.graph_stats)
+        let Some((strategy, estimate)) =
+            choose_strategy(expr, None, &self.recursion, &self.exec, self.graph_stats)
         else {
             return Ok(None);
+        };
+        let Strategy::Sliced(plan, mode) = &strategy else {
+            unreachable!("a projection is either sliced or materialised")
         };
         let chain = plan
             .base
             .label_scan_chain()
             .expect("lazy_eligible checked the base is a scan chain");
-        let (source_mask, target_mask) = match plan.filter {
+        let filter = match plan.filter {
             Some(condition) => {
                 let (first, last) = condition
                     .endpoint_split()
                     .expect("lazy_eligible checked the filter splits");
-                (
-                    first.map(|c| self.node_mask(&c)),
-                    last.map(|c| self.node_mask(&c)),
-                )
+                EndpointFilter {
+                    sources: first.map(|c| self.node_mask(&c)),
+                    targets: last.map(|c| self.node_mask(&c)),
+                }
             }
-            None => (None, None),
+            None => EndpointFilter::default(),
         };
         self.record_decision(
             format!(
@@ -531,74 +399,15 @@ impl<'g> EngineEvaluator<'g> {
                     ""
                 }
             ),
-            match mode {
-                LazyMode::Serial => "lazy-sliced-pipeline",
-                LazyMode::Parallel => "parallel-lazy-pipeline",
-            },
+            strategy.name(),
             estimate,
         );
-        let (out, generated) = match mode {
-            LazyMode::Serial => {
-                let mut pmr = if chain.len() == 1 {
-                    Pmr::from_label_scan(self.graph, chain[0], plan.semantics, self.recursion)
-                } else {
-                    Pmr::from_label_chain(self.graph, &chain, plan.semantics, self.recursion)
-                };
-                pmr.restrict_endpoints(EndpointFilter {
-                    sources: source_mask,
-                    targets: target_mask,
-                });
-                if let Some(token) = &self.cancel {
-                    pmr.share_cancel(token.clone());
-                }
-                let out = pmr.sliced(&plan.spec)?;
-                let generated = pmr.steps_generated();
-                self.work.merge(&pmr.work_counters());
-                (out, generated)
-            }
-            LazyMode::Parallel => {
-                // One shared snapshot per hop, Arc-cloned into every batch
-                // worker — built once, never deep-copied per batch.
-                let scan: Option<Arc<CsrGraph>> = (chain.len() == 1)
-                    .then(|| Arc::new(CsrGraph::with_label(self.graph, chain[0])));
-                let hops: Arc<[CsrGraph]> = match &scan {
-                    Some(_) => Arc::from(Vec::new()),
-                    None => chain
-                        .iter()
-                        .map(|l| CsrGraph::with_label(self.graph, l))
-                        .collect(),
-                };
-                let (semantics, recursion) = (plan.semantics, self.recursion);
-                let cancel = self.cancel.clone();
-                let factory = || {
-                    let mut pmr = match &scan {
-                        Some(csr) => Pmr::from_shared_csr(csr.clone(), semantics, recursion),
-                        None => Pmr::from_shared_join(hops.clone(), semantics, recursion),
-                    };
-                    pmr.restrict_endpoints(EndpointFilter {
-                        sources: source_mask.clone(),
-                        targets: target_mask.clone(),
-                    });
-                    if let Some(token) = &cancel {
-                        pmr.share_cancel(token.clone());
-                    }
-                    pmr
-                };
-                let sources = factory().sources();
-                let hop0 = scan.as_deref().unwrap_or_else(|| &hops[0]);
-                let weights = source_weights(hop0, estimate.as_ref(), &sources);
-                let run = pmr_parallel::sliced(
-                    &factory,
-                    &plan.spec,
-                    &sources,
-                    Some(&weights),
-                    &self.parallel_config(),
-                    self.recursion.max_paths,
-                )?;
-                self.work.merge(&run.work);
-                (run.paths, run.steps_generated)
-            }
-        };
+        let scan = self.lazy_scan(&chain, plan.semantics, filter);
+        let LazyRun {
+            paths: out,
+            steps_generated: generated,
+            ..
+        } = self.run_lazy(&scan, Some(&plan.spec), *mode, estimate.as_ref())?;
         self.lazy_pipeline_fired = true;
         // Bypassed operators: Edges and σ per hop, the k−1 joins, ϕ, the
         // endpoint σ (when present), γ and (when present) τ; the π node
@@ -616,6 +425,88 @@ impl<'g> EngineEvaluator<'g> {
                     + usize::from(plan.filter.is_some()));
         self.stats.max_intermediate = self.stats.max_intermediate.max(generated);
         Ok(Some(out))
+    }
+
+    /// The one PMR entry point: one label-restricted CSR snapshot per hop of
+    /// `labels` (a label scan for one, a join chain for more), plus
+    /// everything a batch worker needs to build its own restricted [`Pmr`]
+    /// over the shared snapshots.
+    fn lazy_scan(
+        &self,
+        labels: &[&str],
+        semantics: PathSemantics,
+        filter: EndpointFilter,
+    ) -> LazyScan {
+        let hops: Arc<[CsrGraph]> = labels
+            .iter()
+            .map(|l| CsrGraph::with_label(self.graph, l))
+            .collect();
+        LazyScan {
+            hops,
+            semantics,
+            recursion: self.recursion,
+            filter,
+            cancel: self.cancel.clone(),
+        }
+    }
+
+    /// Drains (`spec` = `None`) or slices a [`LazyScan`] — one enumeration in
+    /// the serial mode, one batch-restricted enumeration per batch in the
+    /// parallel mode, merged into the serial sequence — and folds its work
+    /// counters into this evaluator's.
+    fn run_lazy(
+        &mut self,
+        scan: &LazyScan,
+        spec: Option<&SliceSpec>,
+        mode: LazyMode,
+        estimate: Option<&ClosureEstimate>,
+    ) -> Result<LazyRun, AlgebraError> {
+        let run = match mode {
+            LazyMode::Serial => {
+                let mut pmr = scan.pmr();
+                let paths = match spec {
+                    Some(spec) => pmr.sliced(spec)?,
+                    None => pmr.enumerate_all()?,
+                };
+                self.work.merge(&pmr.work_counters());
+                LazyRun {
+                    paths,
+                    steps_generated: pmr.steps_generated(),
+                    base_segments: pmr.base_segments().unwrap_or(0),
+                }
+            }
+            LazyMode::Parallel => {
+                let factory = || scan.pmr();
+                let sources = factory().sources();
+                let weights = source_weights(&scan.hops[0], estimate, &sources);
+                let config = self.parallel_config();
+                let max_paths = self.recursion.max_paths;
+                let run = match spec {
+                    Some(spec) => pmr_parallel::sliced(
+                        &factory,
+                        spec,
+                        &sources,
+                        Some(&weights),
+                        &config,
+                        max_paths,
+                    )?,
+                    None => pmr_parallel::enumerate_all(
+                        &factory,
+                        &sources,
+                        Some(&weights),
+                        &config,
+                        max_paths,
+                    )?,
+                };
+                self.work.merge(&run.work);
+                LazyRun {
+                    paths: run.paths,
+                    steps_generated: run.steps_generated,
+                    base_segments: run.base_segments.unwrap_or(0),
+                }
+            }
+        };
+        Ok(run)
     }
 
     /// Evaluates a per-node condition (a pure first- or last-node predicate,
@@ -660,12 +551,8 @@ impl<'g> EngineEvaluator<'g> {
         if let PlanExpr::Recursive { semantics, input } = expr {
             if let Some(chain) = input.label_scan_chain() {
                 if *semantics != PathSemantics::Walk || self.recursion.max_length.is_some() {
-                    let pmr = if chain.len() == 1 {
-                        Pmr::from_label_scan(self.graph, chain[0], *semantics, self.recursion)
-                    } else {
-                        Pmr::from_label_chain(self.graph, &chain, *semantics, self.recursion)
-                    };
-                    return Ok(PathSetRepr::lazy(Box::new(pmr)));
+                    let scan = self.lazy_scan(&chain, *semantics, EndpointFilter::default());
+                    return Ok(PathSetRepr::lazy(Box::new(scan.pmr())));
                 }
             }
         }
@@ -682,8 +569,8 @@ impl<'g> EngineEvaluator<'g> {
         self.eval(expr)?.into_space()
     }
 
-    /// Accounts for an operator the CSR fast path evaluated implicitly, with
-    /// the same counters the reference evaluator would have charged.
+    /// Accounts for an operator the PMR evaluated implicitly, with the same
+    /// counters the reference evaluator would have charged.
     fn charge_skipped(&mut self, paths: usize) {
         self.stats.operators_evaluated += 1;
         self.stats.intermediate_paths += paths;
@@ -721,6 +608,39 @@ impl<'g> EngineEvaluator<'g> {
     }
 }
 
+/// The shared per-hop snapshots of one label scan or join chain, with the
+/// semantics, bounds, pushed endpoint filter and cancellation token every
+/// [`Pmr`] over them is built with — built once by
+/// [`EngineEvaluator::lazy_scan`], then used for one serial enumeration or
+/// as the per-batch factory of a parallel one.
+struct LazyScan {
+    hops: Arc<[CsrGraph]>,
+    semantics: PathSemantics,
+    recursion: RecursionConfig,
+    filter: EndpointFilter,
+    cancel: Option<Arc<CancelToken>>,
+}
+
+impl LazyScan {
+    /// A fresh, unpulled PMR over the shared hops: the CSR form for one hop,
+    /// the join form for more ([`Pmr::from_hops`]).
+    fn pmr(&self) -> Pmr {
+        let mut pmr = Pmr::from_hops(self.hops.clone(), self.semantics, self.recursion);
+        pmr.restrict_endpoints(self.filter.clone());
+        if let Some(token) = &self.cancel {
+            pmr.share_cancel(token.clone());
+        }
+        pmr
+    }
+}
+
+/// What a serial or parallel PMR run hands back to the evaluator.
+struct LazyRun {
+    paths: PathSet,
+    steps_generated: usize,
+    base_segments: usize,
+}
+
 /// Per-source batch-sizing weights of a parallel lazy run, seeded by the
 /// closure estimate: a source's weight is its hop-0 out-degree scaled by the
 /// estimated paths per base element (`estimate.paths / estimate.base`), so a
@@ -744,8 +664,7 @@ fn source_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::choose_pipeline_impl;
-    use crate::physical::frontier::phi_frontier_csr;
+    use crate::physical::frontier::phi_frontier;
     use pathalg_core::condition::Condition;
     use pathalg_core::eval::Evaluator;
     use pathalg_core::ops::projection::ProjectionSpec;
@@ -786,7 +705,6 @@ mod tests {
                     ExecutionConfig {
                         threads,
                         batch_size: 2,
-                        ..ExecutionConfig::default()
                     },
                 );
                 let out = engine.eval_paths(&plan).unwrap();
@@ -854,14 +772,15 @@ mod tests {
             ),
         ];
         for (phi, order, gkey, spec) in cases {
-            // The materialised engine pipeline: CSR frontier + core γ/τ/π.
-            let PlanExpr::Recursive { semantics, .. } = &phi else {
+            // The materialised pipeline: base-path frontier over the
+            // materialised scan + core γ/τ/π.
+            let PlanExpr::Recursive { semantics, input } = &phi else {
                 unreachable!()
             };
-            let csr = CsrGraph::with_label(&f.graph, "Knows");
-            let closure = phi_frontier_csr(
-                &csr,
+            let base = Evaluator::new(&f.graph).eval_paths(input).unwrap();
+            let closure = phi_frontier(
                 *semantics,
+                &base,
                 &RecursionConfig::default(),
                 &ExecutionConfig::default(),
             )
@@ -879,7 +798,16 @@ mod tests {
             }
             let plan = plan.project(spec);
             assert!(
-                choose_pipeline_impl(&plan, &RecursionConfig::default()).is_some(),
+                matches!(
+                    choose_strategy(
+                        &plan,
+                        None,
+                        &RecursionConfig::default(),
+                        &ExecutionConfig::default(),
+                        None
+                    ),
+                    Some((Strategy::Sliced(..), _))
+                ),
                 "{plan} should go lazy"
             );
             for threads in [1, 2, 8] {

@@ -5,24 +5,24 @@
 //! algorithm for each operator", Section 7.2). This crate supplies those
 //! algorithms and ties the whole stack together:
 //!
-//! * [`physical`] — alternative physical implementations of the recursive
-//!   operator: the semi-naïve fixpoint from `pathalg-core`, a literal
-//!   (naïve) transcription of Definition 4.1 used as an ablation baseline,
-//!   a DFS enumeration with restrictor pruning, a BFS specialised to the
-//!   shortest-path semantics, and the parallel CSR-native frontier engine
-//!   ([`physical::frontier`], DESIGN.md §7). All of them are cross-checked
-//!   against each other in the tests and raced in the benchmark harness.
+//! * [`physical`] — the physical implementations of ϕ over a *materialised*
+//!   base: the semi-naïve fixpoint from `pathalg-core`, the parallel
+//!   base-path frontier engine ([`physical::frontier`], DESIGN.md §7), and
+//!   two textbook baselines (a literal transcription of Definition 4.1 and a
+//!   DFS with restrictor pruning) that the tests and the `ablations` bench
+//!   compare against. A ϕ over a label scan or a label-scan join chain never
+//!   materialises its base: it runs on `pathalg-pmr`'s path-multiset
+//!   representation (DESIGN.md §8), the engine's one kernel for those.
 //! * [`exec`] — [`exec::ExecutionConfig`] (thread count, source batch size)
 //!   and [`exec::EngineEvaluator`], the engine-level plan interpreter that
-//!   dispatches every ϕ through the cost model and recognises label-scan
-//!   bases for the CSR fast path.
+//!   hands every ϕ node and sliced pipeline to the cost model and builds the
+//!   PMR over shared per-hop CSR snapshots.
 //! * [`cost`] — a simple cardinality/cost model over
 //!   [`pathalg_graph::stats::GraphStats`], the ingredient Section 7.3 says a
-//!   cost-based optimizer needs, plus the physical ϕ-implementation choosers
-//!   ([`cost::choose_phi_impl`], [`cost::choose_scan_phi_impl`], and
-//!   [`cost::choose_pipeline_impl`], which routes slicing γ/τ/π pipelines
-//!   over label scans to `pathalg-pmr`'s lazy path-multiset representation —
-//!   DESIGN.md §8).
+//!   cost-based optimizer needs, plus the engine's one strategy decision
+//!   ([`cost::choose_strategy`]): a sliced PMR pipeline (serial or
+//!   parallel), a full PMR drain, the semi-naïve fixpoint, or the base-path
+//!   frontier.
 //! * [`baseline`] — end-to-end evaluation of a parsed query with the
 //!   classical automaton-product algorithm instead of the algebra, used as an
 //!   independent correctness oracle and benchmark comparator.

@@ -1,32 +1,29 @@
-//! Physical implementations of the recursive operator ϕ.
+//! Physical implementations of the recursive operator ϕ over a
+//! materialised base.
 //!
 //! The algebra fixes *what* ϕ computes; how to compute it is an engineering
-//! choice (Section 8.2 surveys the design space). This module provides five
-//! interchangeable implementations over the same input — a set of base paths —
-//! so that the ablation benchmarks can compare them and the tests can use
-//! them as mutual oracles:
+//! choice (Section 8.2 surveys the design space). A ϕ whose base is a label
+//! scan or a label-scan join chain runs on the PMR (`pathalg-pmr`), which
+//! never materialises its base. This module holds the implementations over
+//! a base that *is* a set of paths:
 //!
 //! * [`phi_seminaive`] — re-export of the frontier-based fixpoint from
-//!   `pathalg-core` (the default).
+//!   `pathalg-core`, which the engine runs for closures estimated tiny.
+//! * [`frontier::phi_frontier`] — the parallel per-source frontier engine
+//!   (DESIGN.md §7): partitions the sources into batches, expands the
+//!   batches concurrently, and merges deterministically. It runs every other
+//!   materialised-base closure and is the byte-order oracle of the PMR.
 //! * [`phi_naive`] — a literal transcription of Definition 4.1: at every
 //!   iteration the *entire* accumulated set is re-joined with the base set.
 //!   Quadratic re-derivation, kept as the textbook baseline.
 //! * [`phi_dfs`] — depth-first enumeration with restrictor pruning, the way a
 //!   tuple-at-a-time engine (Neo4j-style) would produce trails.
-//! * [`phi_bfs_shortest`] — a breadth-first search specialised to the
-//!   shortest-path semantics: paths are generated level by level and a
-//!   per-endpoint-pair distance table cuts the search off as soon as longer
-//!   candidates appear.
-//! * [`frontier::phi_frontier`] — the parallel, CSR-native per-source
-//!   frontier engine (DESIGN.md §7): partitions the sources into batches,
-//!   expands the batches concurrently, and merges deterministically. Its
-//!   label-scan specialisation [`frontier::phi_frontier_csr`] evaluates
-//!   `ϕ(σℓ(Edges))` directly over a [`pathalg_graph::csr::CsrGraph`]
-//!   without materialising the base relation.
+//!
+//! The last two are never dispatched by the engine; the tests use them as
+//! independent oracles and the `ablations` bench races them.
 
 pub mod frontier;
 
-use pathalg_core::budget::CancelToken;
 use pathalg_core::error::AlgebraError;
 use pathalg_core::fasthash::FastMap;
 use pathalg_core::ops::join::join;
@@ -166,87 +163,6 @@ pub fn phi_dfs(
     }
 }
 
-/// Breadth-first search specialised to the shortest-path semantics: paths are
-/// expanded level by level (by number of joined base paths), and a candidate
-/// is dropped as soon as a strictly shorter path between the same endpoints is
-/// known.
-pub fn phi_bfs_shortest(base: &PathSet, config: &RecursionConfig) -> Result<PathSet, AlgebraError> {
-    phi_bfs_shortest_with_cancel(base, config, None)
-}
-
-/// [`phi_bfs_shortest`] with a cooperative [`CancelToken`], polled once per
-/// BFS level.
-pub fn phi_bfs_shortest_with_cancel(
-    base: &PathSet,
-    config: &RecursionConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<PathSet, AlgebraError> {
-    let mut by_first: FastMap<NodeId, Vec<&Path>> = FastMap::default();
-    for p in base.iter() {
-        if !p.is_empty() {
-            by_first.entry(p.first()).or_default().push(p);
-        }
-    }
-    let mut best: FastMap<(NodeId, NodeId), usize> = FastMap::default();
-    let mut all = PathSet::new();
-    let mut frontier: Vec<Path> = Vec::new();
-    for p in base.iter() {
-        if !p.is_simple() || !within(p, config) {
-            continue;
-        }
-        let key = (p.first(), p.last());
-        let entry = best.entry(key).or_insert(p.len());
-        *entry = (*entry).min(p.len());
-        if all.insert(p.clone()) {
-            frontier.push(p.clone());
-        }
-    }
-    while !frontier.is_empty() {
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        let mut next = Vec::new();
-        for current in &frontier {
-            let Some(extensions) = by_first.get(&current.last()) else {
-                continue;
-            };
-            for ext in extensions {
-                if ext.is_empty() {
-                    continue;
-                }
-                let cand = current.concat(ext).expect("indexed by first node");
-                if !within(&cand, config) || !cand.is_simple() {
-                    continue;
-                }
-                let key = (cand.first(), cand.last());
-                if let Some(&b) = best.get(&key) {
-                    if cand.len() > b {
-                        continue;
-                    }
-                }
-                let entry = best.entry(key).or_insert(cand.len());
-                *entry = (*entry).min(cand.len());
-                if all.insert(cand.clone()) {
-                    if let Some(limit) = config.max_paths {
-                        if all.len() > limit {
-                            return Err(AlgebraError::ResultLimitExceeded { limit });
-                        }
-                    }
-                    next.push(cand);
-                }
-            }
-        }
-        frontier = next;
-    }
-    let mut result = PathSet::new();
-    for p in all.iter() {
-        if best.get(&(p.first(), p.last())) == Some(&p.len()) {
-            result.insert(p.clone());
-        }
-    }
-    Ok(result)
-}
-
 fn within(path: &Path, config: &RecursionConfig) -> bool {
     config.max_length.is_none_or(|l| path.len() <= l)
 }
@@ -327,11 +243,6 @@ mod tests {
             assert_eq!(a, b, "naive vs seminaive under {semantics:?}");
             assert_eq!(a, c, "dfs vs seminaive under {semantics:?}");
         }
-        let shortest = phi_bfs_shortest(&base, &cfg).unwrap();
-        assert_eq!(
-            shortest,
-            phi_seminaive(PathSemantics::Shortest, &base, &cfg).unwrap()
-        );
     }
 
     #[test]
@@ -375,9 +286,6 @@ mod tests {
                 assert_eq!(a, b, "naive disagrees under {semantics:?}");
                 assert_eq!(a, c, "dfs disagrees under {semantics:?}");
             }
-            let s1 = phi_bfs_shortest(&base, &cfg).unwrap();
-            let s2 = phi_seminaive(PathSemantics::Shortest, &base, &cfg).unwrap();
-            assert_eq!(s1, s2, "bfs-shortest disagrees");
         }
     }
 
@@ -452,8 +360,6 @@ mod tests {
             .is_empty());
         let nodes = PathSet::nodes(&f.graph);
         let out = phi_dfs(PathSemantics::Trail, &nodes, &cfg).unwrap();
-        assert_eq!(out.len(), 7);
-        let out = phi_bfs_shortest(&nodes, &cfg).unwrap();
         assert_eq!(out.len(), 7);
     }
 }

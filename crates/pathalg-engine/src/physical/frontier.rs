@@ -1,18 +1,23 @@
-//! The parallel, CSR-native frontier engine for ϕ.
+//! The parallel base-path frontier engine for ϕ over a materialised base.
 //!
-//! Every other physical implementation of ϕ in this crate evaluates the
-//! fixpoint as a sequence of *global* rounds: one shared frontier, one shared
-//! result set, one thread. This module decomposes ϕ along the axis the GQL
-//! complexity literature singles out as embarrassingly parallel — the
-//! **source node**. Under all five semantics the admission predicate depends
-//! only on the path itself, and the Shortest per-pair minimum is keyed by
-//! `(First(p), Last(p))` with `First(p)` fixed per source, so the expansion
-//! from one source never needs to observe another source's state. The engine
-//! therefore:
+//! A ϕ whose base is a label scan or a join chain of label scans runs on the
+//! PMR (`pathalg-pmr`), which never materialises its base. Every other base
+//! — unions, nested recursion, filtered joins — arrives here as a `PathSet`,
+//! and a closure not estimated tiny enough for the semi-naïve fixpoint runs
+//! on this engine. It is also the byte-order oracle the PMR is pinned
+//! against: over the materialised `σℓ(Edges)` (or the materialised join
+//! chain) it emits exactly the PMR's sequence.
 //!
-//! 1. groups the base relation by `First(p)` into a CSR-shaped index (or
-//!    uses `pathalg-graph`'s label-restricted [`CsrGraph`] directly when the
-//!    base is a label scan, skipping path materialisation altogether),
+//! The semi-naïve fixpoint evaluates ϕ as a sequence of *global* rounds: one
+//! shared frontier, one shared result set, one thread. This module
+//! decomposes ϕ along the axis the GQL complexity literature singles out as
+//! embarrassingly parallel — the **source node**. Under all five semantics
+//! the admission predicate depends only on the path itself, and the Shortest
+//! per-pair minimum is keyed by `(First(p), Last(p))` with `First(p)` fixed
+//! per source, so the expansion from one source never needs to observe
+//! another source's state. The engine therefore:
+//!
+//! 1. groups the base relation by `First(p)` into a CSR-shaped index,
 //! 2. partitions the sources into contiguous batches of
 //!    [`ExecutionConfig::batch_size`],
 //! 3. expands the batches concurrently on a scoped pool
@@ -52,12 +57,7 @@ use pathalg_core::ops::recursive::{
 };
 use pathalg_core::path::Path;
 use pathalg_core::pathset::PathSet;
-use pathalg_graph::csr::CsrGraph;
-use pathalg_graph::frontier::Frontier;
-use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::NodeId;
-use pathalg_rpq::automaton_eval::AutomatonEvaluator;
-use pathalg_rpq::regex::LabelRegex;
 
 /// The parallel frontier implementation of `ϕ_semantics(base)`.
 ///
@@ -143,114 +143,6 @@ pub fn phi_frontier_with_cancel(
     merge_batches(batches)
 }
 
-/// ϕ directly over a label-restricted CSR snapshot: the base relation is the
-/// edge set of `csr` (every edge as a length-1 path), which is never
-/// materialised as a `PathSet`. This is the hot path the planner dispatches
-/// `ϕ(σ_{label(edge(1))=ℓ}(Edges(G)))` plans to.
-pub fn phi_frontier_csr(
-    csr: &CsrGraph,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    exec: &ExecutionConfig,
-) -> Result<PathSet, AlgebraError> {
-    phi_frontier_csr_with_cancel(csr, semantics, config, exec, None)
-}
-
-/// [`phi_frontier_csr`] with a cooperative [`CancelToken`], polled once per
-/// source (and once per expansion level inside each source, so even one
-/// explosive source stops promptly).
-pub fn phi_frontier_csr_with_cancel(
-    csr: &CsrGraph,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    exec: &ExecutionConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<PathSet, AlgebraError> {
-    let sources: Vec<NodeId> = (0..csr.node_count())
-        .map(|i| NodeId(i as u32))
-        .filter(|&n| csr.out_degree(n) > 0)
-        .collect();
-    let budget = PathBudget::new(config.max_paths);
-
-    let batches = parallel_map_chunks(
-        exec.threads,
-        exec.batch_size,
-        &sources,
-        |_, chunk| -> Result<Vec<Path>, AlgebraError> {
-            let mut out = Vec::new();
-            // Per-batch scratch: the Shortest visited set + distance table
-            // (reset per source — sparse or dense by fill factor) and the
-            // level buffers recycled across sources.
-            let mut scratch = if semantics == PathSemantics::Shortest {
-                Some((
-                    Frontier::new(csr.node_count()),
-                    vec![0usize; csr.node_count()],
-                ))
-            } else {
-                None
-            };
-            let mut levels = LevelBuffers::default();
-            for &source in chunk {
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
-                if let Some((seen, _)) = &mut scratch {
-                    seen.reset();
-                }
-                expand_csr_source(
-                    source,
-                    csr,
-                    semantics,
-                    config,
-                    &budget,
-                    cancel,
-                    scratch.as_mut(),
-                    &mut levels,
-                    &mut out,
-                )?;
-            }
-            Ok(out)
-        },
-    );
-
-    merge_batches(batches)
-}
-
-/// Parallel automaton-product RPQ evaluation: the frontier scheduling of this
-/// module applied to [`AutomatonEvaluator::expand_source`], which carries the
-/// product-automaton state through the expansion. Equivalent to
-/// [`AutomatonEvaluator::eval_all`] at any thread count.
-pub fn automaton_frontier(
-    graph: &PropertyGraph,
-    regex: &LabelRegex,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    exec: &ExecutionConfig,
-) -> Result<PathSet, AlgebraError> {
-    let evaluator = AutomatonEvaluator::new(graph, regex);
-    let sources: Vec<NodeId> = graph.nodes().collect();
-    let budget = PathBudget::new(config.max_paths);
-
-    let batches = parallel_map_chunks(
-        exec.threads,
-        exec.batch_size,
-        &sources,
-        |_, chunk| -> Result<Vec<Path>, AlgebraError> {
-            let mut out = Vec::new();
-            for &source in chunk {
-                out.extend(
-                    evaluator
-                        .expand_source(source, semantics, config, &budget)?
-                        .paths,
-                );
-            }
-            Ok(out)
-        },
-    );
-
-    merge_batches(batches)
-}
-
 /// The two level buffers of one source expansion — `(path, is_acyclic)`
 /// pairs for the current and next BFS level — hoisted to per-batch scope so
 /// expanding a source reuses the previous source's capacity instead of
@@ -265,15 +157,15 @@ struct LevelBuffers {
 }
 
 /// Folds per-batch results into one `PathSet` in batch order; the first
-/// failing batch (in batch order) decides the reported error.
+/// failing batch (in batch order) decides the reported error. Batches cover
+/// disjoint sources and never repeat a path, so the set is built once at its
+/// final size.
 fn merge_batches(batches: Vec<Result<Vec<Path>, AlgebraError>>) -> Result<PathSet, AlgebraError> {
-    let mut result = PathSet::new();
+    let mut result = Vec::new();
     for batch in batches {
-        for path in batch? {
-            result.insert(path);
-        }
+        result.extend(batch?);
     }
-    Ok(result)
+    Ok(PathSet::from(result))
 }
 
 /// The base relation grouped by `First(p)`: a CSR over path indexes, stable
@@ -460,115 +352,6 @@ fn expand_base_source(
     Ok(())
 }
 
-/// Expands one source directly over the CSR edge base, appending this
-/// source's result paths to `out` in level (= length) order.
-#[allow(clippy::too_many_arguments)]
-fn expand_csr_source(
-    source: NodeId,
-    csr: &CsrGraph,
-    semantics: PathSemantics,
-    config: &RecursionConfig,
-    budget: &PathBudget,
-    cancel: Option<&CancelToken>,
-    mut scratch: Option<&mut (Frontier, Vec<usize>)>,
-    levels: &mut LevelBuffers,
-    out: &mut Vec<Path>,
-) -> Result<(), AlgebraError> {
-    let walk_unbounded = semantics == PathSemantics::Walk && config.max_length.is_none();
-    let start = out.len();
-    let LevelBuffers { cur, next } = levels;
-    debug_assert!(cur.is_empty() && next.is_empty());
-
-    // Level 0: one length-1 path per outgoing CSR edge. A single edge is
-    // always a trail and simple; it is acyclic unless it is a self-loop.
-    if within_length(1, config) {
-        let source_path = Path::node(source);
-        let (targets, edges) = csr.neighbor_slices(source);
-        for (&t, &e) in targets.iter().zip(edges) {
-            if semantics == PathSemantics::Acyclic && t == source {
-                continue;
-            }
-            if let Some((seen, dist)) = scratch.as_deref_mut() {
-                if seen.insert(t) {
-                    dist[t.index()] = 1;
-                }
-            }
-            // Level 0 is the base relation: counted, never limit-checked
-            // (matches the fixpoint's unconditional base insertion).
-            budget.record(1);
-            cur.push((source_path.with_step(e, t), t != source));
-        }
-    }
-
-    let mut iterations = 0usize;
-    while !cur.is_empty() {
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        iterations += 1;
-        if walk_unbounded && iterations > UNBOUNDED_WALK_ITERATION_LIMIT {
-            // Local tally (this source's output), so the error value is
-            // deterministic at any thread count — see expand_base_source.
-            return Err(AlgebraError::RecursionLimitExceeded {
-                bound: UNBOUNDED_WALK_ITERATION_LIMIT,
-                paths_so_far: out.len() - start + cur.len(),
-            });
-        }
-        for (p, p_acyclic) in cur.iter() {
-            let new_len = p.len() + 1;
-            if !within_length(new_len, config) {
-                continue;
-            }
-            let (targets, edges) = csr.neighbor_slices(p.last());
-            for (&t, &e) in targets.iter().zip(edges) {
-                let admissible = match semantics {
-                    PathSemantics::Walk => true,
-                    PathSemantics::Trail => !p.edges().contains(&e),
-                    PathSemantics::Acyclic => !p.nodes().contains(&t),
-                    // Simple: a closed path cannot be extended, and the new
-                    // node may only coincide with the first (closing the
-                    // cycle). Shortest restricts its search space to simple
-                    // candidates, exactly like the semi-naïve fixpoint.
-                    PathSemantics::Simple | PathSemantics::Shortest => {
-                        p.first() != p.last() && (t == p.first() || !p.nodes()[1..].contains(&t))
-                    }
-                };
-                if !admissible {
-                    continue;
-                }
-                if walk_unbounded && (!p_acyclic || p.nodes().contains(&t)) {
-                    return Err(AlgebraError::RecursionLimitExceeded {
-                        bound: UNBOUNDED_WALK_ITERATION_LIMIT,
-                        paths_so_far: out.len() - start + cur.len() + next.len(),
-                    });
-                }
-                if let Some((seen, dist)) = scratch.as_deref_mut() {
-                    if seen.contains(t) && new_len > dist[t.index()] {
-                        continue;
-                    }
-                    if seen.insert(t) {
-                        dist[t.index()] = new_len;
-                    }
-                }
-                budget.claim(1)?;
-                next.push((p.with_step(e, t), true));
-            }
-        }
-        out.extend(cur.drain(..).map(|(p, _)| p));
-        std::mem::swap(cur, next);
-    }
-
-    if semantics == PathSemantics::Shortest {
-        let (seen, dist) = scratch.expect("Shortest expansion carries scratch");
-        let tail = out.split_off(start);
-        out.extend(
-            tail.into_iter()
-                .filter(|p| seen.contains(p.last()) && dist[p.last().index()] == p.len()),
-        );
-    }
-    Ok(())
-}
-
 /// Incremental admission of `p ∘ q` given that `p` and `q` are themselves
 /// admitted: only `q`'s new nodes/edges are compared against `p`.
 fn step_admissible(semantics: PathSemantics, p: &Path, q: &Path) -> bool {
@@ -601,14 +384,16 @@ fn within_length(len: usize, config: &RecursionConfig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{phi_bfs_shortest, phi_seminaive};
+    use crate::physical::phi_seminaive;
     use pathalg_core::condition::Condition;
     use pathalg_core::ops::join::join;
     use pathalg_core::ops::selection::selection;
+    use pathalg_graph::csr::CsrGraph;
     use pathalg_graph::fixtures::figure1::Figure1;
     use pathalg_graph::generator::snb::{snb_like_graph, SnbConfig};
     use pathalg_graph::generator::structured::{cycle_graph, grid_graph};
     use pathalg_graph::graph::PropertyGraph;
+    use pathalg_pmr::Pmr;
 
     fn label_base(graph: &PropertyGraph, label: &str) -> PathSet {
         selection(
@@ -622,7 +407,6 @@ mod tests {
         ExecutionConfig {
             threads,
             batch_size: 2,
-            ..ExecutionConfig::default()
         }
     }
 
@@ -673,22 +457,26 @@ mod tests {
         }
     }
 
+    /// The frontier over the materialised `σℓ(Edges)` is the byte-order
+    /// oracle of the PMR's CSR form, which expands the same base straight
+    /// off the label-restricted CSR.
     #[test]
     fn csr_variant_agrees_with_the_pathset_variant() {
         let g = grid_graph(3, 3, "a");
         let base = label_base(&g, "a");
         let csr = CsrGraph::with_label(&g, "a");
-        let cfg = RecursionConfig::default();
-        for semantics in RESTRICTED {
+        let bounded = RecursionConfig::with_max_length(3);
+        let cases = RESTRICTED
+            .map(|s| (s, RecursionConfig::default()))
+            .into_iter()
+            .chain([(PathSemantics::Walk, bounded)]);
+        for (semantics, cfg) in cases {
             let via_paths = phi_frontier(semantics, &base, &cfg, &exec(2)).unwrap();
-            let via_csr = phi_frontier_csr(&csr, semantics, &cfg, &exec(2)).unwrap();
+            let via_csr = Pmr::from_csr(csr.clone(), semantics, cfg)
+                .enumerate_all()
+                .unwrap();
             assert_eq!(via_paths.as_slice(), via_csr.as_slice(), "{semantics:?}");
         }
-        // Bounded walks too.
-        let bounded = RecursionConfig::with_max_length(3);
-        let via_paths = phi_frontier(PathSemantics::Walk, &base, &bounded, &exec(2)).unwrap();
-        let via_csr = phi_frontier_csr(&csr, PathSemantics::Walk, &bounded, &exec(2)).unwrap();
-        assert_eq!(via_paths.as_slice(), via_csr.as_slice());
     }
 
     #[test]
@@ -734,7 +522,6 @@ mod tests {
         let reference = phi_seminaive(PathSemantics::Shortest, &base, &cfg).unwrap();
         let out = phi_frontier(PathSemantics::Shortest, &base, &cfg, &exec(2)).unwrap();
         assert_eq!(out, reference);
-        assert_eq!(out, phi_bfs_shortest(&base, &cfg).unwrap());
     }
 
     #[test]
@@ -742,16 +529,12 @@ mod tests {
         let cfg = RecursionConfig::unbounded();
         let cyclic = cycle_graph(3, "a");
         let base = label_base(&cyclic, "a");
-        let csr = CsrGraph::with_label(&cyclic, "a");
         for threads in [1, 4] {
-            assert!(matches!(
-                phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(threads)),
-                Err(AlgebraError::RecursionLimitExceeded { .. })
-            ));
-            assert!(matches!(
-                phi_frontier_csr(&csr, PathSemantics::Walk, &cfg, &exec(threads)),
-                Err(AlgebraError::RecursionLimitExceeded { .. })
-            ));
+            let err = phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(threads)).unwrap_err();
+            assert!(matches!(err, AlgebraError::RecursionLimitExceeded { .. }));
+            // The PMR over the same scan reports the very same error value.
+            let pmr = Pmr::from_label_scan(&cyclic, "a", PathSemantics::Walk, cfg).enumerate_all();
+            assert_eq!(pmr, Err(err));
         }
         let dag = pathalg_graph::generator::structured::chain_graph(6, "a");
         let base = label_base(&dag, "a");
@@ -775,8 +558,7 @@ mod tests {
         let cfg = RecursionConfig::unbounded();
         let reference = phi_seminaive(PathSemantics::Walk, &base, &cfg);
         let frontier = phi_frontier(PathSemantics::Walk, &base, &cfg, &exec(1));
-        let csr = CsrGraph::with_label(&g, "a");
-        let via_csr = phi_frontier_csr(&csr, PathSemantics::Walk, &cfg, &exec(1));
+        let pmr = Pmr::from_label_scan(&g, "a", PathSemantics::Walk, cfg).enumerate_all();
         assert!(matches!(
             reference,
             Err(AlgebraError::RecursionLimitExceeded { .. })
@@ -785,10 +567,7 @@ mod tests {
             frontier,
             Err(AlgebraError::RecursionLimitExceeded { .. })
         ));
-        assert!(matches!(
-            via_csr,
-            Err(AlgebraError::RecursionLimitExceeded { .. })
-        ));
+        assert_eq!(pmr, frontier);
     }
 
     #[test]
@@ -824,25 +603,6 @@ mod tests {
         for threads in [1, 4] {
             let out = phi_frontier(PathSemantics::Trail, &base, &cfg, &exec(threads)).unwrap();
             assert_eq!(out, reference);
-        }
-    }
-
-    #[test]
-    fn automaton_frontier_matches_the_serial_evaluator() {
-        use pathalg_rpq::parse::parse_regex;
-        let f = Figure1::new();
-        let cfg = RecursionConfig::default();
-        for pattern in [":Knows+", "(:Knows|:Likes)+", "(:Likes/:Has_creator)*"] {
-            let re = parse_regex(pattern).unwrap();
-            let serial = AutomatonEvaluator::new(&f.graph, &re)
-                .eval_all(PathSemantics::Trail, &cfg)
-                .unwrap();
-            for threads in [1, 3] {
-                let parallel =
-                    automaton_frontier(&f.graph, &re, PathSemantics::Trail, &cfg, &exec(threads))
-                        .unwrap();
-                assert_eq!(parallel.as_slice(), serial.as_slice(), "{pattern}");
-            }
         }
     }
 }

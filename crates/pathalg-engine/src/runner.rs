@@ -10,9 +10,9 @@
 //!    ϕWalk→ϕShortest, redundant-τ elimination);
 //! 4. the engine's physical evaluator ([`crate::exec::EngineEvaluator`])
 //!    executes it, collecting statistics — dispatching every ϕ through the
-//!    cost model to one of the physical implementations (semi-naïve,
-//!    BFS-shortest, or the parallel CSR-native frontier engine configured by
-//!    [`RunnerConfig::execution`]).
+//!    cost model's one strategy decision: the PMR for a label scan or join
+//!    chain, the semi-naïve fixpoint or the parallel base-path frontier for
+//!    a materialised base, with the threads of [`RunnerConfig::execution`].
 //!
 //! The result carries the original and optimized plans, the rewrite trace and
 //! the evaluation statistics, so callers can print an `EXPLAIN ANALYZE`-style
@@ -406,7 +406,6 @@ mod tests {
                     RunnerConfig::default().with_execution(ExecutionConfig {
                         threads,
                         batch_size: 2,
-                        ..ExecutionConfig::default()
                     }),
                 );
                 let result = parallel.run(query).unwrap();

@@ -36,9 +36,10 @@ impl PathQuery {
 
     /// True if the query's plan is a *sliceable* γ/τ/π pipeline over a
     /// recursive label scan that lazy (PMR-backed) evaluation can take end
-    /// to end under the given recursion bounds — the same decision the
-    /// engine's `choose_pipeline_impl` makes on the generated plan, so the
-    /// tag predicts `QueryResult::used_lazy_pipeline` for unoptimized plans.
+    /// to end under the given recursion bounds — the same recognition the
+    /// engine's strategy decision (`choose_strategy`) makes on the generated
+    /// plan, so the tag predicts `QueryResult::used_lazy_pipeline` for
+    /// unoptimized plans on a serial configuration.
     /// Unbounded Walk is excluded: its infinite-answer detection requires
     /// driving the full expansion.
     pub fn lazy_sliceable(&self, recursion: &RecursionConfig) -> bool {

@@ -1,14 +1,15 @@
 //! Lazy, level-ordered expansion of `ϕ(σℓ(Edges(G)))` over a CSR snapshot.
 //!
-//! This is the PMR counterpart of the engine's
-//! `physical::frontier::expand_csr_source`: the same per-source, level-by-
-//! level expansion with the same admission predicates and the same Shortest
-//! pruning, but *pull-driven* — levels are computed only when a consumer asks
-//! for more paths — and storing each discovered path as one arena step
-//! instead of a materialised `Path`. The emission order is byte-identical to
-//! the frontier engine's insertion order (sources ascending, levels in
-//! order, adjacency order within a level), which is the canonical-order
-//! contract of [`pathalg_core::pathset_repr::LazyPathStream`].
+//! The engine's only kernel for a ϕ over one label scan: the per-source,
+//! level-by-level expansion of the engine's base-path frontier
+//! (`physical::frontier::phi_frontier` over the materialised `σℓ(Edges)`),
+//! with the same admission predicates and the same Shortest pruning, but
+//! *pull-driven* — levels are computed only when a consumer asks for more
+//! paths — and storing each discovered path as one arena step instead of a
+//! materialised `Path`. The emission order is byte-identical to that
+//! frontier's insertion order (sources ascending, levels in order, adjacency
+//! order within a level), which is the canonical-order contract of
+//! [`pathalg_core::pathset_repr::LazyPathStream`].
 //!
 //! Expansion is level-synchronous, so path lengths are not stored per step:
 //! the current level's length lives in one field and is threaded alongside
@@ -44,7 +45,9 @@ pub(crate) struct ReachInfo {
 
 /// The lazy CSR expander (see the module docs).
 pub(crate) struct CsrExpansion {
-    csr: Arc<CsrGraph>,
+    /// The single hop of the label scan (a one-element hop list, so the
+    /// engine's shared hop snapshots serve both expansion forms).
+    hops: Arc<[CsrGraph]>,
     semantics: PathSemantics,
     config: RecursionConfig,
     walk_unbounded: bool,
@@ -92,14 +95,16 @@ pub(crate) struct CsrExpansion {
 }
 
 impl CsrExpansion {
-    pub fn new(csr: Arc<CsrGraph>, semantics: PathSemantics, config: RecursionConfig) -> Self {
+    pub fn new(hops: Arc<[CsrGraph]>, semantics: PathSemantics, config: RecursionConfig) -> Self {
+        assert_eq!(hops.len(), 1, "a label-scan expansion has exactly one hop");
+        let csr = &hops[0];
         let n = csr.node_count();
         let sources: Vec<NodeId> = (0..n)
             .map(|i| NodeId(i as u32))
             .filter(|&v| csr.out_degree(v) > 0)
             .collect();
         Self {
-            csr,
+            hops,
             semantics,
             config,
             walk_unbounded: semantics == PathSemantics::Walk && config.max_length.is_none(),
@@ -250,7 +255,7 @@ impl CsrExpansion {
             return;
         }
         self.cur_len = 1;
-        let (targets, edges) = self.csr.neighbor_slices(s);
+        let (targets, edges) = self.hops[0].neighbor_slices(s);
         for (&t, &e) in targets.iter().zip(edges) {
             if self.semantics == PathSemantics::Acyclic && t == s {
                 continue;
@@ -289,7 +294,7 @@ impl CsrExpansion {
             for &pid in &cur {
                 let head_target = self.arena.target(pid);
                 let p_acyclic = !self.walk_unbounded || self.acyclic[pid as usize];
-                let (targets, edges) = self.csr.neighbor_slices(head_target);
+                let (targets, edges) = self.hops[0].neighbor_slices(head_target);
                 for (&t, &e) in targets.iter().zip(edges) {
                     let admissible = match self.semantics {
                         PathSemantics::Walk => true,
@@ -351,7 +356,7 @@ impl CsrExpansion {
         next.clear();
         let mut cur_len: u32 = 1;
         if self.within(1) {
-            let (targets, edges) = self.csr.neighbor_slices(s);
+            let (targets, edges) = self.hops[0].neighbor_slices(s);
             for (&t, &e) in targets.iter().zip(edges) {
                 if self.seen.insert(t) {
                     self.dist[t.index()] = 1;
@@ -367,7 +372,7 @@ impl CsrExpansion {
             if self.within(new_len) {
                 for &pid in &cur {
                     let head_target = self.arena.target(pid);
-                    let (targets, edges) = self.csr.neighbor_slices(head_target);
+                    let (targets, edges) = self.hops[0].neighbor_slices(head_target);
                     for (&t, &e) in targets.iter().zip(edges) {
                         let admissible = head_target != s
                             && (t == s || !self.arena.chain_targets_contain(pid, t));
@@ -410,8 +415,8 @@ impl CsrExpansion {
     /// alike, and no admitted path can reach a node the walk BFS cannot.
     pub fn reachability(&mut self, source: NodeId) -> ReachInfo {
         let bound = self.config.max_length.unwrap_or(usize::MAX);
-        if self.reach_dist.len() < self.csr.node_count() {
-            self.reach_dist.resize(self.csr.node_count(), 0);
+        if self.reach_dist.len() < self.hops[0].node_count() {
+            self.reach_dist.resize(self.hops[0].node_count(), 0);
         }
         self.reach_seen.reset();
         self.reach_seen.insert(source);
@@ -426,7 +431,7 @@ impl CsrExpansion {
             if d >= bound {
                 continue;
             }
-            let (targets, _) = self.csr.neighbor_slices(u);
+            let (targets, _) = self.hops[0].neighbor_slices(u);
             for &t in targets {
                 if self.reach_seen.insert(t) {
                     self.reach_dist[t.index()] = d + 1;
@@ -443,10 +448,10 @@ impl CsrExpansion {
         if self.preds.is_none() {
             // Flat reverse-adjacency index: one counting pass, one prefix
             // sum, one fill — no per-node Vec allocations.
-            let n = self.csr.node_count();
+            let n = self.hops[0].node_count();
             let mut offsets = vec![0u32; n + 1];
             for i in 0..n {
-                let (targets, _) = self.csr.neighbor_slices(NodeId(i as u32));
+                let (targets, _) = self.hops[0].neighbor_slices(NodeId(i as u32));
                 for &t in targets {
                     offsets[t.index() + 1] += 1;
                 }
@@ -458,7 +463,7 @@ impl CsrExpansion {
             let mut cursor = offsets.clone();
             for i in 0..n {
                 let u = NodeId(i as u32);
-                let (targets, _) = self.csr.neighbor_slices(u);
+                let (targets, _) = self.hops[0].neighbor_slices(u);
                 for &t in targets {
                     flat[cursor[t.index()] as usize] = u;
                     cursor[t.index()] += 1;

@@ -6,16 +6,19 @@
 //! cyclic graphs under `WALK`/`TRAIL` the multiset is exponential in the
 //! length bound while a `π(*,*,k)`-sliced answer is tiny. Following the
 //! PathFinder line of work, this crate represents the multiset *implicitly*
-//! as an annotated product graph — graph node × recursion/automaton state —
-//! and enumerates paths from it **on demand, in the engine's canonical
-//! order**:
+//! as an annotated product graph — graph node × position in the base
+//! segment — and enumerates paths from it **on demand, in the engine's
+//! canonical order**. It is the engine's one kernel for every ϕ whose base
+//! is a label scan or a join chain of label scans:
 //!
-//! * [`Pmr::from_label_scan`] / [`Pmr::from_csr`] — the `ϕ(σℓ(Edges(G)))`
-//!   form: lazy per-source, level-ordered frontier expansion over a
-//!   label-restricted CSR snapshot, byte-order-identical to the engine's
-//!   materialised `phi_frontier_csr`.
-//! * [`Pmr::from_regex`] — the product-automaton form `G × A`, mirroring the
-//!   serial `AutomatonEvaluator` discovery order (lazy across sources).
+//! * [`Pmr::from_hops`] — the one constructor, over shared per-hop
+//!   label-restricted CSR snapshots: the edge-by-edge CSR form for one hop
+//!   (`ϕ(σℓ(Edges(G)))`), the segment-by-segment join form for more
+//!   (`ϕ(σℓ1(E) ⋈ … ⋈ σℓk(E))`). [`Pmr::from_label_scan`],
+//!   [`Pmr::from_label_chain`] and [`Pmr::from_csr`] are conveniences over
+//!   it. Either form emits lazily per source, level by level,
+//!   byte-order-identical to the engine's materialised base-path frontier
+//!   over the same base.
 //! * [`Pmr::next_batch`] / [`Pmr::top_k`] / [`Pmr::enumerate_all`] — pull as
 //!   much as you need; `top_k(k)` obeys the law
 //!   `top_k(k) == enumerate().take(k)` while expanding only what those `k`
@@ -26,13 +29,14 @@
 //! * [`Pmr::sliced`] — evaluates a recognised `π(τA?(γψ(ϕ(…))))` pipeline
 //!   ([`pathalg_core::slice`]) with per-group limits pushed into the
 //!   enumeration and a node-level reachability analysis that stops each
-//!   source as soon as its contribution to every kept group is complete.
+//!   source as soon as its contribution to every kept group is complete —
+//!   or skips it on entry when it can reach no admitted group at all.
+//! * [`parallel`] — the same enumerations on several worker threads, merged
+//!   in batch order into the serial sequence.
 //!
-//! Paths are stored as parent-pointer arena steps — `O(1)`
-//! words per path instead of `O(len)`. In the CSR forms a
-//! discovered-but-skipped path is never materialised at all; the product
-//! form additionally materialises each source's *accepted* paths while that
-//! source is current, for duplicate elimination (see [`Pmr::from_regex`]).
+//! Paths are stored as parent-pointer arena steps — `O(1)` words per path
+//! instead of `O(len)` — and a discovered-but-skipped path is never
+//! materialised at all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,11 +45,9 @@ mod arena;
 mod csr;
 mod join;
 pub mod parallel;
-mod product;
 
 use crate::csr::{CsrExpansion, ReachInfo};
 use crate::join::JoinExpansion;
-use crate::product::{ProductExpansion, ProductItem};
 use pathalg_core::budget::{CancelToken, PathBudget};
 use pathalg_core::error::AlgebraError;
 use pathalg_core::obs::WorkCounters;
@@ -58,14 +60,12 @@ use pathalg_core::slice::{PartitionKey, SliceCollector, SliceSpec, SliceState};
 use pathalg_graph::csr::CsrGraph;
 use pathalg_graph::graph::PropertyGraph;
 use pathalg_graph::ids::NodeId;
-use pathalg_rpq::regex::LabelRegex;
 use std::sync::Arc;
 
 /// A compact, lazily enumerable path-multiset representation (see the crate
-/// docs). The lifetime is that of the graph the product form borrows; the
-/// CSR forms own their snapshot and are `'static`.
-pub struct Pmr<'g> {
-    inner: Inner<'g>,
+/// docs). It owns (shares) its CSR snapshots, so it borrows nothing.
+pub struct Pmr {
+    inner: Inner,
     /// Per-node target mask of the endpoint-σ pushdown: when set, paths whose
     /// last node is unmarked are skipped at emission (never reconstructed)
     /// while the expansion still runs *through* them.
@@ -86,10 +86,19 @@ struct LocalCounts {
     kept: u64,
 }
 
-enum Inner<'g> {
+enum Inner {
     Csr(Box<CsrExpansion>),
     Join(Box<JoinExpansion>),
-    Product(Box<ProductExpansion<'g>>),
+}
+
+/// Dispatches one method call to whichever expansion form `inner` holds.
+macro_rules! expansion {
+    ($inner:expr, $e:ident => $body:expr) => {
+        match $inner {
+            Inner::Csr($e) => $body,
+            Inner::Join($e) => $body,
+        }
+    };
 }
 
 /// Endpoint restrictions pushed down from `σ_first`/`σ_last` predicates
@@ -105,24 +114,42 @@ pub struct EndpointFilter {
     pub targets: Option<Vec<bool>>,
 }
 
-/// One emitted element, before path reconstruction.
+/// One emitted element, before path reconstruction: an arena step with its
+/// path length (lengths are threaded, not stored per step — see [`arena`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Emit {
     pub(crate) source: NodeId,
     pub(crate) last: NodeId,
-    pub(crate) len: usize,
-    token: Token,
+    step: u32,
+    len: u32,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Token {
-    /// An arena step of the CSR or join expansion, with its path length
-    /// (lengths are threaded, not stored per step — see [`arena`]).
-    Step(u32, u32),
-    Product(ProductItem),
-}
+impl Pmr {
+    /// PMR of `ϕ_semantics` over the concatenation of shared per-hop CSR
+    /// snapshots (every base path walks one edge of each hop in order; all
+    /// snapshots share one node universe, and there is at least one hop).
+    /// One hop takes the CSR form, which expands edge by edge; more take the
+    /// join form, which expands a `k`-edge segment at a time — neither join
+    /// side, the join result, nor the closure is ever materialised. Parallel
+    /// batch workers ([`parallel`]) each build one restricted expansion over
+    /// the same `Arc`ed hop list instead of copying the snapshots per batch.
+    pub fn from_hops(
+        hops: Arc<[CsrGraph]>,
+        semantics: PathSemantics,
+        config: RecursionConfig,
+    ) -> Pmr {
+        let inner = if hops.len() == 1 {
+            Inner::Csr(Box::new(CsrExpansion::new(hops, semantics, config)))
+        } else {
+            Inner::Join(Box::new(JoinExpansion::new(hops, semantics, config)))
+        };
+        Pmr {
+            inner,
+            target_mask: None,
+            counts: LocalCounts::default(),
+        }
+    }
 
-impl Pmr<'static> {
     /// PMR of `ϕ_semantics(σ_{label=ℓ}(Edges(G)))`: frontier expansion over a
     /// label-restricted CSR snapshot of `graph`, base never materialised.
     pub fn from_label_scan(
@@ -130,47 +157,28 @@ impl Pmr<'static> {
         label: &str,
         semantics: PathSemantics,
         config: RecursionConfig,
-    ) -> Pmr<'static> {
+    ) -> Pmr {
         Self::from_csr(CsrGraph::with_label(graph, label), semantics, config)
     }
 
     /// PMR of `ϕ_semantics` over the edge set of an arbitrary CSR snapshot
     /// (every edge as a length-1 base path).
-    pub fn from_csr(
-        csr: CsrGraph,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr<'static> {
-        Self::from_shared_csr(Arc::new(csr), semantics, config)
-    }
-
-    /// [`Pmr::from_csr`] over a *shared* snapshot: parallel batch workers
-    /// ([`parallel`]) build one restricted expansion each over the same
-    /// `Arc`ed CSR instead of cloning it per batch.
-    pub fn from_shared_csr(
-        csr: Arc<CsrGraph>,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr<'static> {
-        Pmr {
-            inner: Inner::Csr(Box::new(CsrExpansion::new(csr, semantics, config))),
-            target_mask: None,
-            counts: LocalCounts::default(),
-        }
+    pub fn from_csr(csr: CsrGraph, semantics: PathSemantics, config: RecursionConfig) -> Pmr {
+        Self::from_hops(Arc::from(vec![csr]), semantics, config)
     }
 
     /// PMR of `ϕ_semantics(σℓ1(E) ⋈ … ⋈ σℓk(E))` — the lazy endpoint-keyed
-    /// join of the per-label scans (see the `join` module): neither join side,
-    /// the join result, nor the closure is ever materialised, and the
-    /// emission order is byte-identical to materialising the join and running
-    /// the engine's frontier expansion.
+    /// join of the per-label scans (see the `join` module), or the plain
+    /// label scan when `labels` has one entry. The emission order is
+    /// byte-identical to materialising the join and running the engine's
+    /// base-path frontier.
     pub fn from_label_chain(
         graph: &PropertyGraph,
         labels: &[&str],
         semantics: PathSemantics,
         config: RecursionConfig,
-    ) -> Pmr<'static> {
-        Self::from_join(
+    ) -> Pmr {
+        Self::from_hops(
             labels
                 .iter()
                 .map(|l| CsrGraph::with_label(graph, l))
@@ -180,50 +188,6 @@ impl Pmr<'static> {
         )
     }
 
-    /// PMR of `ϕ_semantics` over the concatenation of per-hop CSR snapshots
-    /// (every base path walks one edge of each hop in order).
-    pub fn from_join(
-        hops: Vec<CsrGraph>,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr<'static> {
-        Self::from_shared_join(hops.into(), semantics, config)
-    }
-
-    /// [`Pmr::from_join`] over *shared* per-hop snapshots: parallel batch
-    /// workers ([`parallel`]) build one restricted expansion each over the
-    /// same `Arc`ed hop list instead of cloning the snapshots per batch.
-    pub fn from_shared_join(
-        hops: Arc<[CsrGraph]>,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr<'static> {
-        Pmr {
-            inner: Inner::Join(Box::new(JoinExpansion::new(hops, semantics, config))),
-            target_mask: None,
-            counts: LocalCounts::default(),
-        }
-    }
-}
-
-impl<'g> Pmr<'g> {
-    /// PMR of a regular path query: the product `G × A` of the graph and the
-    /// expression's NFA, enumerated under the given path semantics.
-    pub fn from_regex(
-        graph: &'g PropertyGraph,
-        regex: &LabelRegex,
-        semantics: PathSemantics,
-        config: RecursionConfig,
-    ) -> Pmr<'g> {
-        Pmr {
-            inner: Inner::Product(Box::new(ProductExpansion::new(
-                graph, regex, semantics, config,
-            ))),
-            target_mask: None,
-            counts: LocalCounts::default(),
-        }
-    }
-
     /// Pushes an endpoint-σ down into the enumeration: unmarked sources are
     /// dropped from the expansion schedule entirely, and paths ending at an
     /// unmarked target are skipped at emission without reconstruction. Must
@@ -231,11 +195,7 @@ impl<'g> Pmr<'g> {
     /// unfiltered stream with the σ applied — same paths, same order.
     pub fn restrict_endpoints(&mut self, filter: EndpointFilter) {
         if let Some(keep) = &filter.sources {
-            match &mut self.inner {
-                Inner::Csr(e) => e.restrict_sources(keep),
-                Inner::Join(e) => e.restrict_sources(keep),
-                Inner::Product(e) => e.restrict_sources(keep),
-            }
+            expansion!(&mut self.inner, e => e.restrict_sources(keep));
         }
         self.target_mask = filter.targets;
     }
@@ -244,48 +204,32 @@ impl<'g> Pmr<'g> {
     /// schedule before any pull, after any [`Pmr::restrict_endpoints`]
     /// source restriction) — what a parallel run partitions into batches.
     pub fn sources(&self) -> Vec<NodeId> {
-        match &self.inner {
-            Inner::Csr(e) => e.sources().to_vec(),
-            Inner::Join(e) => e.sources().to_vec(),
-            Inner::Product(e) => e.sources().to_vec(),
-        }
+        expansion!(&self.inner, e => e.sources().to_vec())
     }
 
     /// Replaces the source schedule with an explicit (already filtered,
     /// canonically ordered) list — how [`parallel`] restricts one batch
     /// worker to its slice of the schedule. Must precede the first pull.
     pub(crate) fn set_sources(&mut self, sources: Vec<NodeId>) {
-        match &mut self.inner {
-            Inner::Csr(e) => e.set_sources(sources),
-            Inner::Join(e) => e.set_sources(sources),
-            Inner::Product(e) => e.set_sources(sources),
-        }
+        expansion!(&mut self.inner, e => e.set_sources(sources))
     }
 
     /// Shares one `max_paths` budget across several batch-restricted
     /// expansions of the same logical enumeration. Must precede the first
     /// pull.
     pub(crate) fn share_budget(&mut self, budget: Arc<PathBudget>) {
-        match &mut self.inner {
-            Inner::Csr(e) => e.share_budget(budget),
-            Inner::Join(e) => e.share_budget(budget),
-            Inner::Product(e) => e.share_budget(budget),
-        }
+        expansion!(&mut self.inner, e => e.share_budget(budget))
     }
 
     /// Installs a shared cancellation token on the underlying expansion:
-    /// every subsequent pull polls the token at its level (or BFS-chunk)
-    /// boundary and aborts with [`AlgebraError::Cancelled`] /
+    /// every subsequent pull polls the token at its level boundary and
+    /// aborts with [`AlgebraError::Cancelled`] /
     /// [`AlgebraError::DeadlineExceeded`] once it fires. Under parallel
     /// enumeration the same token is installed in every batch worker's
     /// expansion (via the factory closure), so one token stops all workers
     /// within one batch.
     pub fn share_cancel(&mut self, cancel: Arc<CancelToken>) {
-        match &mut self.inner {
-            Inner::Csr(e) => e.share_cancel(cancel),
-            Inner::Join(e) => e.share_cancel(cancel),
-            Inner::Product(e) => e.share_cancel(cancel),
-        }
+        expansion!(&mut self.inner, e => e.share_cancel(cancel))
     }
 
     fn target_admits(&self, last: NodeId) -> bool {
@@ -294,55 +238,43 @@ impl<'g> Pmr<'g> {
             .is_none_or(|mask| mask.get(last.index()) == Some(&true))
     }
 
+    /// The next element the expansion produces, *before* the target mask:
+    /// sliced consumers see every source the expansion enters, even one
+    /// whose paths all end outside the mask, and filter with [`Pmr::admit`].
+    pub(crate) fn next_raw(&mut self) -> Result<Option<Emit>, AlgebraError> {
+        Ok(
+            expansion!(&mut self.inner, e => e.next_id()?.map(|(step, source, len)| Emit {
+                source,
+                last: e.arena.target(step),
+                step,
+                len,
+            })),
+        )
+    }
+
+    /// Applies the pushed target mask to a raw element, tallying it as
+    /// emitted or skipped.
+    pub(crate) fn admit(&mut self, emit: &Emit) -> bool {
+        let admitted = self.target_admits(emit.last);
+        if admitted {
+            self.counts.emitted += 1;
+        } else {
+            self.counts.skipped += 1;
+        }
+        admitted
+    }
+
     pub(crate) fn next_emit(&mut self) -> Result<Option<Emit>, AlgebraError> {
-        loop {
-            let emit = match &mut self.inner {
-                Inner::Csr(e) => e.next_id()?.map(|(id, source, len)| Emit {
-                    source,
-                    last: e.arena.target(id),
-                    len: len as usize,
-                    token: Token::Step(id, len),
-                }),
-                Inner::Join(e) => e.next_id()?.map(|(id, source, len)| Emit {
-                    source,
-                    last: e.arena.target(id),
-                    len: len as usize,
-                    token: Token::Step(id, len),
-                }),
-                Inner::Product(e) => e.next_item()?.map(|(item, source)| {
-                    let (_, last, len) = e.triple(item, source);
-                    Emit {
-                        source,
-                        last,
-                        len,
-                        token: Token::Product(item),
-                    }
-                }),
-            };
-            match emit {
-                Some(e) if !self.target_admits(e.last) => {
-                    self.counts.skipped += 1;
-                    continue;
-                }
-                other => {
-                    if other.is_some() {
-                        self.counts.emitted += 1;
-                    }
-                    return Ok(other);
-                }
+        while let Some(emit) = self.next_raw()? {
+            if self.admit(&emit) {
+                return Ok(Some(emit));
             }
         }
+        Ok(None)
     }
 
     pub(crate) fn realize(&self, emit: &Emit) -> Path {
-        match (&self.inner, emit.token) {
-            (Inner::Csr(e), Token::Step(id, len)) => e.arena.path_of(id, emit.source, len as usize),
-            (Inner::Join(e), Token::Step(id, len)) => {
-                e.arena.path_of(id, emit.source, len as usize)
-            }
-            (Inner::Product(e), Token::Product(item)) => e.realize(item, emit.source),
-            _ => unreachable!("emit token matches the inner representation"),
-        }
+        expansion!(&self.inner, e => e.arena.path_of(emit.step, emit.source, emit.len as usize))
     }
 
     /// Counts an emitted path a sliced consumer discarded (would-not-keep),
@@ -354,51 +286,35 @@ impl<'g> Pmr<'g> {
 
     pub(crate) fn skip_source(&mut self) {
         self.counts.abandoned += 1;
-        match &mut self.inner {
-            Inner::Csr(e) => e.skip_source(),
-            Inner::Join(e) => e.skip_source(),
-            Inner::Product(e) => e.skip_source(),
-        }
+        expansion!(&mut self.inner, e => e.skip_source())
     }
 
     /// Number of arena steps allocated so far — the work actually performed.
     /// A sliced or top-k consumer leaves this far below the multiset size.
     pub fn steps_generated(&self) -> usize {
-        match &self.inner {
-            Inner::Csr(e) => e.steps_generated(),
-            Inner::Join(e) => e.steps_generated(),
-            Inner::Product(e) => e.steps_generated(),
-        }
+        expansion!(&self.inner, e => e.steps_generated())
     }
 
     /// Number of level-0 join segments generated so far — the slice of the
-    /// join output the expansion actually touched. `None` for the non-join
-    /// forms, whose base relation is the CSR edge set itself.
+    /// join output the expansion actually touched. `None` for the one-hop
+    /// form, whose base relation is the CSR edge set itself.
     pub fn base_segments(&self) -> Option<usize> {
         match &self.inner {
             Inner::Join(e) => Some(e.base_segments()),
-            _ => None,
+            Inner::Csr(_) => None,
         }
     }
 
     /// Bytes currently backing the step arena. The arena only grows, so this
     /// is also its peak footprint (`arena_bytes_peak`).
     pub fn arena_bytes(&self) -> usize {
-        match &self.inner {
-            Inner::Csr(e) => e.arena_bytes(),
-            Inner::Join(e) => e.arena_bytes(),
-            Inner::Product(e) => e.arena_bytes(),
-        }
+        expansion!(&self.inner, e => e.arena_bytes())
     }
 
     /// Scratch reuse events so far: hoisted level/saturation buffers and
     /// pooled or retained visited-set blocks (`scratch_reuse_count`).
     pub fn scratch_reuse(&self) -> u64 {
-        match &self.inner {
-            Inner::Csr(e) => e.scratch_reuse(),
-            Inner::Join(e) => e.scratch_reuse(),
-            Inner::Product(e) => e.scratch_reuse(),
-        }
+        expansion!(&self.inner, e => e.scratch_reuse())
     }
 
     /// Reserves arena capacity for `steps` further steps up front, so a
@@ -406,11 +322,7 @@ impl<'g> Pmr<'g> {
     /// arena reallocation — see the zero-steady-state-allocation contract in
     /// the crate docs.
     pub fn reserve_steps(&mut self, steps: usize) {
-        match &mut self.inner {
-            Inner::Csr(e) => e.arena.reserve(steps),
-            Inner::Join(e) => e.arena.reserve(steps),
-            Inner::Product(e) => e.arena.reserve(steps),
-        }
+        expansion!(&mut self.inner, e => e.arena.reserve(steps))
     }
 
     /// The deterministic work totals of everything pulled from this PMR so
@@ -444,11 +356,7 @@ impl<'g> Pmr<'g> {
     /// batch-restricted PMR sharing one budget this is the *global* tally,
     /// so the parallel merge reads it once instead of summing per batch.
     pub(crate) fn budget_count(&self) -> usize {
-        match &self.inner {
-            Inner::Csr(e) => e.budget_count(),
-            Inner::Join(e) => e.budget_count(),
-            Inner::Product(e) => e.budget_count(),
-        }
+        expansion!(&self.inner, e => e.budget_count())
     }
 
     /// The next path in canonical order, or `None` when exhausted.
@@ -474,15 +382,24 @@ impl<'g> Pmr<'g> {
         Ok(self.next_batch(k)?.into_iter().collect())
     }
 
-    /// Drains the whole enumeration into a materialised [`PathSet`] —
-    /// identical, in content and order, to the engine's materialised
-    /// frontier evaluation of the same operator.
-    pub fn enumerate_all(&mut self) -> Result<PathSet, AlgebraError> {
-        let mut out = PathSet::new();
+    /// Every remaining path in canonical order, collected into a `Vec`. The
+    /// enumeration never repeats a path, so a [`PathSet`] built from it can
+    /// be sized exactly up front.
+    pub(crate) fn drain(&mut self) -> Result<Vec<Path>, AlgebraError> {
+        let mut out = Vec::new();
         while let Some(p) = self.next_path()? {
-            out.insert(p);
+            out.push(p);
         }
         Ok(out)
+    }
+
+    /// Drains the whole enumeration into a materialised [`PathSet`] —
+    /// identical, in content and order, to the engine's materialised
+    /// frontier evaluation of the same operator. The paths are collected
+    /// first and the set is built at its final size, so its index never
+    /// rehashes while it grows.
+    pub fn enumerate_all(&mut self) -> Result<PathSet, AlgebraError> {
+        Ok(PathSet::from(self.drain()?))
     }
 
     /// Drains the rest of the enumeration, counting paths without
@@ -515,7 +432,7 @@ impl<'g> Pmr<'g> {
     pub fn group_counts(&mut self, key: GroupKey) -> Result<GroupCounts, AlgebraError> {
         let mut triples: Vec<(NodeId, NodeId, usize)> = Vec::new();
         while let Some(e) = self.next_emit()? {
-            triples.push((e.source, e.last, e.len));
+            triples.push((e.source, e.last, e.len as usize));
         }
         Ok(group_counts_from_triples(key, triples))
     }
@@ -525,9 +442,11 @@ impl<'g> Pmr<'g> {
     /// [`Pmr::enumerate_all`] and running the γ/τ/π operators, but:
     ///
     /// * paths beyond a group's cap are skipped without reconstruction,
-    /// * a source is abandoned as soon as every group it can still
-    ///   contribute to (computed by a node-level reachability BFS for the
-    ///   CSR form) holds its `per_group` quota, and
+    /// * under γST with a per-group cap, the groups a source can ever
+    ///   contribute to are computed when the expansion enters the source (a
+    ///   node-level reachability BFS): a source that reaches no admitted
+    ///   group is skipped on entry, and any other is abandoned as soon as
+    ///   every such group holds its `per_group` quota, and
     /// * once the partition limit is reached, sources that can only open new
     ///   partitions are never expanded at all — and a source caught
     ///   mid-expansion by the closing limit switches to per-partition
@@ -537,13 +456,13 @@ impl<'g> Pmr<'g> {
         let mut collector = SliceCollector::new(spec);
         let source_partitioned = spec.group_key.partitions_by_source();
         let mut cur_source: Option<NodeId> = None;
-        let mut requirements: Vec<PartitionKey> = Vec::new();
+        let mut requirements: Option<Vec<PartitionKey>> = None;
         // Partitions the current source has opened — the only ones that must
         // fill before the sharp (partition-limit-closed) stop may skip the
         // source.
         let mut src_keys: Vec<PartitionKey> = Vec::new();
 
-        while let Some(emit) = self.next_emit()? {
+        while let Some(emit) = self.next_raw()? {
             if cur_source != Some(emit.source) {
                 cur_source = Some(emit.source);
                 // Every path of a fresh source opens a fresh partition under
@@ -554,6 +473,15 @@ impl<'g> Pmr<'g> {
                 }
                 requirements = self.requirements_for(emit.source, spec);
                 src_keys.clear();
+                if requirements.as_ref().is_some_and(Vec::is_empty) {
+                    // No admitted group is reachable: nothing this source
+                    // could ever expand into is kept.
+                    self.skip_source();
+                    continue;
+                }
+            }
+            if !self.admit(&emit) {
+                continue;
             }
             let key: PartitionKey = (
                 spec.group_key.partitions_by_source().then_some(emit.source),
@@ -585,8 +513,9 @@ impl<'g> Pmr<'g> {
                             // to fill, not every reachable one.
                             src_keys.iter().all(|k| collector.group_is_full(k))
                         } else {
-                            !requirements.is_empty()
-                                && requirements.iter().all(|k| collector.group_is_full(k))
+                            requirements
+                                .as_ref()
+                                .is_some_and(|r| r.iter().all(|k| collector.group_is_full(k)))
                         }
                     }
                     _ => false,
@@ -602,35 +531,27 @@ impl<'g> Pmr<'g> {
         Ok(out)
     }
 
-    /// The full set of groups source `s` can ever contribute to, for the
-    /// reachability-based source stop — only computed for the CSR and join
-    /// forms under γST with a per-group cap, and skipped for Shortest (whose
-    /// per-source expansion saturates on its own). Groups outside the pushed
-    /// target mask are excluded: they can never receive a path, so waiting
-    /// for them would block the stop forever.
+    /// The full set of groups `source` can ever contribute to, for the
+    /// reachability-based source stop: `None` unless the spec is γST with a
+    /// per-group cap, and `None` under Shortest (whose expansion saturates
+    /// each source eagerly, before its first emission, so a stop would save
+    /// nothing). Groups outside the pushed target mask are excluded — they
+    /// can never receive a path, so waiting for them would block the stop
+    /// forever — and a source whose set comes out empty is skipped outright.
     pub(crate) fn requirements_for(
         &mut self,
         source: NodeId,
         spec: &SliceSpec,
-    ) -> Vec<PartitionKey> {
+    ) -> Option<Vec<PartitionKey>> {
         if spec.group_key != GroupKey::SourceTarget || spec.per_group.is_none() {
-            return Vec::new();
+            return None;
         }
-        let (semantics, ReachInfo { open, min_closed }) = match &mut self.inner {
-            Inner::Csr(e) => {
-                if e.semantics() == PathSemantics::Shortest {
-                    return Vec::new();
-                }
-                (e.semantics(), e.reachability(source))
-            }
-            Inner::Join(e) => {
-                if e.semantics() == PathSemantics::Shortest {
-                    return Vec::new();
-                }
-                (e.semantics(), e.reachability(source))
-            }
-            Inner::Product(_) => return Vec::new(),
-        };
+        let semantics = expansion!(&self.inner, e => e.semantics());
+        if semantics == PathSemantics::Shortest {
+            return None;
+        }
+        let ReachInfo { open, min_closed } =
+            expansion!(&mut self.inner, e => e.reachability(source));
         let mut keys: Vec<PartitionKey> = open
             .into_iter()
             .filter(|&t| self.target_admits(t))
@@ -640,11 +561,11 @@ impl<'g> Pmr<'g> {
         {
             keys.push((Some(source), Some(source)));
         }
-        keys
+        Some(keys)
     }
 }
 
-impl LazyPathStream for Pmr<'_> {
+impl LazyPathStream for Pmr {
     fn next_batch(&mut self, max: usize) -> Result<Vec<Path>, AlgebraError> {
         Pmr::next_batch(self, max)
     }
@@ -841,25 +762,65 @@ mod tests {
         assert!(lazy.steps_generated() * 20 < full.steps_generated());
     }
 
+    /// `K_n` over label `a` plus one isolated node (index `n`) that no path
+    /// reaches.
+    pub(crate) fn complete_with_isolated(n: usize) -> PropertyGraph {
+        use pathalg_graph::graph::GraphBuilder;
+        use pathalg_graph::value::Value;
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<_> = (0..=n)
+            .map(|_| b.add_node("N", Vec::<(&str, Value)>::new()))
+            .collect();
+        for &u in &nodes[..n] {
+            for &v in &nodes[..n] {
+                if u != v {
+                    b.add_edge(u, v, "a", Vec::<(&str, Value)>::new());
+                }
+            }
+        }
+        b.build()
+    }
+
     #[test]
-    fn product_form_agrees_with_the_compiled_algebra() {
-        use pathalg_rpq::parse::parse_regex;
-        let f = Figure1::new();
-        let cfg = RecursionConfig::default();
-        for (pattern, semantics) in [
-            (":Knows+", PathSemantics::Trail),
-            (":Knows+", PathSemantics::Shortest),
-            ("(:Likes/:Has_creator)*", PathSemantics::Simple),
-            (":Knows/:Knows", PathSemantics::Walk),
+    fn sources_reaching_no_admitted_target_are_skipped_on_entry() {
+        // Every K_7 source has ~2000 acyclic paths, far above the quota; the
+        // only admitted target is unreachable, so each source must be
+        // skipped when the expansion enters it instead of expanding until
+        // the quota trips.
+        let g = complete_with_isolated(7);
+        let cfg = RecursionConfig {
+            max_length: None,
+            max_paths: Some(500),
+        };
+        let spec = SliceSpec {
+            group_key: GroupKey::SourceTarget,
+            per_group: Some(2),
+            max_partitions: None,
+            ordered_by_length: false,
+        };
+        let mut targets = vec![false; 8];
+        targets[7] = true;
+        for semantics in [
+            PathSemantics::Trail,
+            PathSemantics::Acyclic,
+            PathSemantics::Simple,
         ] {
-            let re = parse_regex(pattern).unwrap();
-            let plan = pathalg_rpq::compile::compile_to_algebra(&re, semantics);
-            let expected = pathalg_core::eval::Evaluator::new(&f.graph)
-                .eval_paths(&plan)
-                .unwrap();
-            let mut pmr = Pmr::from_regex(&f.graph, &re, semantics, cfg);
-            let out = pmr.enumerate_all().unwrap();
-            assert_eq!(out, expected, "{pattern} under {semantics:?}");
+            assert_eq!(
+                Pmr::from_label_scan(&g, "a", semantics, cfg).enumerate_all(),
+                Err(AlgebraError::ResultLimitExceeded { limit: 500 }),
+                "{semantics:?}: the unmasked closure exceeds the quota"
+            );
+            let mut pmr = Pmr::from_label_scan(&g, "a", semantics, cfg);
+            pmr.restrict_endpoints(EndpointFilter {
+                sources: None,
+                targets: Some(targets.clone()),
+            });
+            assert!(pmr.sliced(&spec).unwrap().is_empty(), "{semantics:?}");
+            let work = pmr.work_counters();
+            assert_eq!(work.sources_abandoned, 7, "{semantics:?}");
+            assert_eq!(work.paths_emitted, 0, "{semantics:?}");
+            // Only level 0 of each source was ever generated.
+            assert_eq!(pmr.steps_generated(), 7 * 6, "{semantics:?}");
         }
     }
 

@@ -150,7 +150,7 @@ pub fn plan_batches(
 /// source — the same error the serial enumeration raises. (As with the
 /// frontier engine, when a run violates *two* bounds at once, which variant
 /// surfaces first may depend on the schedule.)
-pub fn enumerate_all<'g, F>(
+pub fn enumerate_all<F>(
     factory: &F,
     sources: &[NodeId],
     weights: Option<&[u64]>,
@@ -158,7 +158,7 @@ pub fn enumerate_all<'g, F>(
     max_paths: Option<usize>,
 ) -> Result<ParallelRun, AlgebraError>
 where
-    F: Fn() -> Pmr<'g> + Sync,
+    F: Fn() -> Pmr + Sync,
 {
     let batches = plan_batches(sources.len(), weights, config);
     let budget = Arc::new(PathBudget::new(max_paths));
@@ -166,14 +166,7 @@ where
         let mut pmr = factory();
         pmr.set_sources(sources[range.clone()].to_vec());
         pmr.share_budget(budget.clone());
-        let mut paths = Vec::new();
-        loop {
-            match pmr.next_path() {
-                Ok(Some(p)) => paths.push(p),
-                Ok(None) => break,
-                Err(e) => return Err(e),
-            }
-        }
+        let paths = pmr.drain()?;
         Ok((
             paths,
             pmr.steps_generated(),
@@ -182,7 +175,7 @@ where
         ))
     });
 
-    let mut out = PathSet::new();
+    let mut out: Vec<Path> = Vec::new();
     let mut steps = 0usize;
     let mut segments: Option<usize> = None;
     let mut work = WorkCounters {
@@ -200,13 +193,13 @@ where
         batch_work.budget_claimed = 0;
         work.merge(&batch_work);
         work.batches_merged += 1;
-        for p in paths {
-            out.insert(p);
-        }
+        out.extend(paths);
     }
     work.budget_claimed = budget.count() as u64;
+    // Batches cover disjoint sources, so the concatenation is duplicate-free
+    // and the set is built once at its final size.
     Ok(ParallelRun {
-        paths: out,
+        paths: PathSet::from(out),
         steps_generated: steps,
         base_segments: segments,
         work,
@@ -241,7 +234,7 @@ where
 /// (unbounded Walk, `max_paths`) must route them serially, as the engine's
 /// eligibility rules ([`pathalg_core::slice::SlicePlan::lazy_eligible`] and
 /// the strategy chooser) already do.
-pub fn sliced<'g, F>(
+pub fn sliced<F>(
     factory: &F,
     spec: &SliceSpec,
     sources: &[NodeId],
@@ -250,7 +243,7 @@ pub fn sliced<'g, F>(
     max_paths: Option<usize>,
 ) -> Result<ParallelRun, AlgebraError>
 where
-    F: Fn() -> Pmr<'g> + Sync,
+    F: Fn() -> Pmr + Sync,
 {
     let batches = plan_batches(sources.len(), weights, config);
     let source_partitioned = spec.group_key.partitions_by_source();
@@ -371,7 +364,7 @@ impl LocalGroups {
 /// with the partition limit lifted locally (the merge replays admission) and
 /// the shared-budget stops of the module docs layered in.
 fn drive_batch(
-    pmr: &mut Pmr<'_>,
+    pmr: &mut Pmr,
     spec: &SliceSpec,
     budget: &SliceBudget,
     batch: usize,
@@ -389,14 +382,14 @@ fn drive_batch(
         *closed
     };
     let mut cur_source: Option<NodeId> = None;
-    let mut requirements: Vec<PartitionKey> = Vec::new();
+    let mut requirements: Option<Vec<PartitionKey>> = None;
     // Partitions the current source has opened locally — the ones that must
     // fill before the sharp (partition-closed) stop may skip the source.
     let mut src_keys: Vec<PartitionKey> = Vec::new();
     let mut local_opened = 0usize;
     let mut out: Vec<Path> = Vec::new();
 
-    while let Some(emit) = pmr.next_emit()? {
+    while let Some(emit) = pmr.next_raw()? {
         if cur_source != Some(emit.source) {
             cur_source = Some(emit.source);
             // Demand propagation: limits provably closed by the canonical
@@ -410,6 +403,15 @@ fn drive_batch(
             }
             requirements = pmr.requirements_for(emit.source, spec);
             src_keys.clear();
+            // A source that reaches no admitted group is skipped on entry,
+            // exactly as the serial evaluation skips it.
+            if requirements.as_ref().is_some_and(Vec::is_empty) {
+                pmr.skip_source();
+                continue;
+            }
+        }
+        if !pmr.admit(&emit) {
+            continue;
         }
         let key: PartitionKey = (
             spec.group_key.partitions_by_source().then_some(emit.source),
@@ -443,8 +445,9 @@ fn drive_batch(
                         // requirement waits for every reachable one).
                         src_keys.iter().all(|k| groups.is_full(k, per_group))
                     } else {
-                        !requirements.is_empty()
-                            && requirements.iter().all(|k| groups.is_full(k, per_group))
+                        requirements
+                            .as_ref()
+                            .is_some_and(|r| r.iter().all(|k| groups.is_full(k, per_group)))
                     }
                 }
                 _ => false,
@@ -506,16 +509,16 @@ mod tests {
     #[test]
     fn parallel_enumerate_matches_serial_byte_for_byte() {
         let g = complete_graph(5, "k");
-        let csr = Arc::new(CsrGraph::with_label(&g, "k"));
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&g, "k")]);
         let cfg = RecursionConfig {
             max_length: Some(3),
             max_paths: None,
         };
-        let serial = Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg)
+        let serial = Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg)
             .enumerate_all()
             .unwrap();
         for threads in [1usize, 2, 8] {
-            let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg);
+            let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg);
             let proto = factory();
             let run = enumerate_all(
                 &factory,
@@ -533,15 +536,15 @@ mod tests {
     #[test]
     fn shared_budget_reproduces_the_serial_max_paths_outcome() {
         let g = complete_graph(5, "k");
-        let csr = Arc::new(CsrGraph::with_label(&g, "k"));
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&g, "k")]);
         let cfg = RecursionConfig {
             max_length: Some(3),
             max_paths: Some(10),
         };
-        let serial = Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg).enumerate_all();
+        let serial = Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg).enumerate_all();
         assert_eq!(serial, Err(AlgebraError::ResultLimitExceeded { limit: 10 }));
         for threads in [1usize, 4] {
-            let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg);
+            let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg);
             let proto = factory();
             let out = enumerate_all(
                 &factory,
@@ -560,12 +563,12 @@ mod tests {
     #[test]
     fn unbounded_walk_errors_match_the_serial_error_value() {
         let g = cycle_graph(4, "k");
-        let csr = Arc::new(CsrGraph::with_label(&g, "k"));
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&g, "k")]);
         let cfg = RecursionConfig::unbounded();
-        let serial = Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg).enumerate_all();
+        let serial = Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg).enumerate_all();
         let serial_err = serial.unwrap_err();
         for threads in [1usize, 2, 8] {
-            let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg);
+            let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg);
             let proto = factory();
             let err = enumerate_all(&factory, &proto.sources(), None, &config(threads, 1), None)
                 .unwrap_err();
@@ -576,7 +579,7 @@ mod tests {
     #[test]
     fn parallel_sliced_matches_serial_sliced_byte_for_byte() {
         let g = complete_graph(6, "a");
-        let csr = Arc::new(CsrGraph::with_label(&g, "a"));
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&g, "a")]);
         let cfg = RecursionConfig {
             max_length: Some(4),
             max_paths: None,
@@ -611,11 +614,11 @@ mod tests {
                 ordered_by_length: false,
             },
         ] {
-            let expected = Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg)
+            let expected = Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg)
                 .sliced(&spec)
                 .unwrap();
             for threads in [1usize, 2, 8] {
-                let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Walk, cfg);
+                let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg);
                 let proto = factory();
                 let run = sliced(
                     &factory,
@@ -630,6 +633,55 @@ mod tests {
                     run.paths.as_slice(),
                     expected.as_slice(),
                     "{spec:?} t={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unreachable_targets_stop_every_batch_like_the_serial_run() {
+        let g = crate::tests::complete_with_isolated(7);
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&g, "a")]);
+        let cfg = RecursionConfig {
+            max_length: None,
+            max_paths: Some(500),
+        };
+        let spec = SliceSpec {
+            group_key: GroupKey::SourceTarget,
+            per_group: Some(2),
+            max_partitions: None,
+            ordered_by_length: false,
+        };
+        let mut targets = vec![false; 8];
+        targets[7] = true;
+        for semantics in [PathSemantics::Acyclic, PathSemantics::Simple] {
+            let factory = || {
+                let mut pmr = Pmr::from_hops(hops.clone(), semantics, cfg);
+                pmr.restrict_endpoints(crate::EndpointFilter {
+                    sources: None,
+                    targets: Some(targets.clone()),
+                });
+                pmr
+            };
+            let mut serial = factory();
+            assert!(serial.sliced(&spec).unwrap().is_empty());
+            let reference = serial.work_counters().deterministic_line();
+            for threads in [1usize, 2, 8] {
+                let run = sliced(
+                    &factory,
+                    &spec,
+                    &factory().sources(),
+                    None,
+                    &config(threads, 2),
+                    cfg.max_paths,
+                )
+                .unwrap();
+                assert!(run.paths.is_empty(), "{semantics:?} t={threads}");
+                assert_eq!(run.work.sources_abandoned, 7, "{semantics:?} t={threads}");
+                assert_eq!(
+                    run.work.deterministic_line(),
+                    reference,
+                    "{semantics:?} t={threads}"
                 );
             }
         }

@@ -39,9 +39,7 @@ type ProductEntry = (Path, usize, Vec<(NodeId, usize)>);
 /// every semantics — including Shortest, whose per-pair minimum is keyed by
 /// `(First(p), Last(p))` with `First(p) = source` fixed — no state is shared
 /// between sources. [`AutomatonEvaluator::expand_source`] exposes one such
-/// unit of work so the engine's parallel frontier evaluator can schedule
-/// sources across threads and merge the expansions in deterministic source
-/// order.
+/// unit of work; [`AutomatonEvaluator::eval_from`] runs them in source order.
 #[derive(Clone, Debug)]
 pub struct SourceExpansion {
     /// The source node the expansion started from.
@@ -115,13 +113,10 @@ impl<'g> AutomatonEvaluator<'g> {
 
     /// Runs the product-automaton BFS from one source node.
     ///
-    /// This is the parallelisable unit of RPQ evaluation: it shares no
-    /// mutable state with other sources, so the engine's frontier evaluator
-    /// runs many of these concurrently and merges the returned path lists in
-    /// source order — the merged set (and its order) is then independent of
-    /// the thread count. The `budget` tallies produced paths across all
-    /// sources of one logical evaluation so `max_paths` bounds the total,
-    /// not the per-source count.
+    /// This is the independent unit of RPQ evaluation: it shares no mutable
+    /// state with other sources. The `budget` tallies produced paths across
+    /// all sources of one logical evaluation so `max_paths` bounds the
+    /// total, not the per-source count.
     pub fn expand_source(
         &self,
         source: NodeId,

@@ -13,21 +13,21 @@
 //!   paper, e.g. `(:Knows+)|(:Likes/:Has_creator)*`.
 //! * [`nfa`] — a Thompson-style construction producing an ε-free
 //!   [`nfa::Nfa`], plus the word-membership check used for testing.
-//! * [`dfa`] — subset construction to a deterministic automaton.
 //! * [`compile`] — translation from a regex to a path-algebra expression
 //!   (a [`pathalg_core::expr::PlanExpr`]), the way Figures 2–4 of the paper
 //!   turn `Knows+` and `(Likes/Has_creator)*` into σ/⋈/∪/ϕ trees.
 //! * [`automaton_eval`] — the classical automaton-product evaluation
 //!   (Section 8.2's "automata-based approaches"): a BFS over the product of
 //!   the graph and the NFA that returns the witnessing paths. It is the
-//!   baseline the engine crate compares the algebraic evaluation against.
+//!   baseline the engine crate compares the algebraic evaluation against,
+//!   and the repository's one independent implementation of the product
+//!   search (production queries compile to the algebra instead).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod automaton_eval;
 pub mod compile;
-pub mod dfa;
 pub mod nfa;
 pub mod parse;
 pub mod regex;

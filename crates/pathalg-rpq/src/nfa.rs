@@ -4,8 +4,8 @@
 //! while tracking the states of an automaton constructed from the regular
 //! expression". [`Nfa::from_regex`] builds that automaton with the classical
 //! Thompson construction and immediately eliminates ε-transitions, so the
-//! product construction in [`crate::automaton_eval`] and the subset
-//! construction in [`crate::dfa`] only ever deal with labelled transitions.
+//! product construction in [`crate::automaton_eval`] only ever deals with
+//! labelled transitions.
 
 use crate::regex::LabelRegex;
 use std::collections::{BTreeSet, VecDeque};

@@ -2,8 +2,9 @@
 //!
 //! Three stacks compute the same queries through completely different code
 //! paths — the algebraic evaluator (ϕ fixpoint), the physical algorithms of
-//! the engine (naïve fixpoint, DFS enumeration, BFS shortest), and the
-//! classical automaton-product baseline. They must agree on every graph.
+//! the engine (the PMR kernel, the base-path frontier, and the naïve and DFS
+//! textbook baselines), and the classical automaton-product baseline. They
+//! must agree on every graph.
 
 use pathalg::algebra::condition::Condition;
 use pathalg::algebra::eval::{EvalConfig, Evaluator};
@@ -12,8 +13,8 @@ use pathalg::algebra::ops::selection::selection;
 use pathalg::algebra::pathset::PathSet;
 use pathalg::engine::baseline::evaluate_query_with_automaton;
 use pathalg::engine::exec::ExecutionConfig;
-use pathalg::engine::physical::frontier::{automaton_frontier, phi_frontier, phi_frontier_csr};
-use pathalg::engine::physical::{phi_bfs_shortest, phi_dfs, phi_naive, phi_seminaive};
+use pathalg::engine::physical::frontier::phi_frontier;
+use pathalg::engine::physical::{phi_dfs, phi_naive, phi_seminaive};
 use pathalg::engine::runner::{QueryRunner, RunnerConfig};
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::fixtures::figure1::Figure1;
@@ -90,12 +91,6 @@ fn physical_implementations_agree_with_the_algebra_everywhere() {
             );
             assert_eq!(reference, dfs, "{name}: dfs differs under {semantics:?}");
         }
-        let shortest = phi_bfs_shortest(&base, &cfg).unwrap();
-        assert_eq!(
-            shortest,
-            phi_seminaive(PathSemantics::Shortest, &base, &cfg).unwrap(),
-            "{name}: bfs-shortest differs"
-        );
     }
 }
 
@@ -124,7 +119,6 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
                 &ExecutionConfig {
                     threads: 1,
                     batch_size: 3,
-                    ..ExecutionConfig::default()
                 },
             )
             .unwrap();
@@ -136,7 +130,6 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
                     &ExecutionConfig {
                         threads,
                         batch_size: 3,
-                        ..ExecutionConfig::default()
                     },
                 )
                 .unwrap();
@@ -156,31 +149,133 @@ fn phi_frontier_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The CSR-native specialisation and the PathSet-based frontier engine are
-/// the same algorithm over two base representations: identical output, in
-/// the same order, on every test graph.
+/// The PMR's CSR form and the PathSet-based frontier engine are the same
+/// expansion over two base representations — the label-restricted CSR and
+/// the materialised `σℓ(Edges)`: identical output, in the same order, on
+/// every test graph, under all five semantics.
 #[test]
 fn csr_native_frontier_agrees_with_the_pathset_frontier() {
-    let cfg = RecursionConfig::default();
     let exec = ExecutionConfig::with_threads(2);
     for (name, graph) in test_graphs() {
         let base = knows_base(&graph);
         let csr = CsrGraph::with_label(&graph, "Knows");
-        for semantics in [
-            PathSemantics::Trail,
-            PathSemantics::Acyclic,
-            PathSemantics::Simple,
-            PathSemantics::Shortest,
-        ] {
+        for (semantics, cfg) in join_semantics_cases() {
             let via_paths = phi_frontier(semantics, &base, &cfg, &exec).unwrap();
-            let via_csr = phi_frontier_csr(&csr, semantics, &cfg, &exec).unwrap();
+            let via_csr = pathalg::pmr::Pmr::from_csr(csr.clone(), semantics, cfg)
+                .enumerate_all()
+                .unwrap();
             assert_eq!(
                 via_paths.as_slice(),
                 via_csr.as_slice(),
-                "{name}: CSR-native frontier diverged under {semantics:?}"
+                "{name}: CSR-native PMR diverged under {semantics:?}"
             );
         }
     }
+}
+
+/// The engine-level parity sweep behind the one-kernel dispatch: for every
+/// test graph, the reference `Evaluator` and the `EngineEvaluator` at 1, 2
+/// and 8 threads agree under all five semantics, over a label scan and a
+/// 2-label join chain (both drained by the PMR), a union base and a
+/// nested-recursion base (both materialised: semi-naïve or base-path
+/// frontier). The PMR's output order and error values are identical at
+/// every thread count; a tiny materialised base runs on the semi-naïve
+/// fixpoint serially but on the frontier in parallel, so only its answer set
+/// and error variant are thread-invariant. Errors must
+/// match the reference as well: `max_paths` overflows exactly,
+/// unbounded-Walk divergence by variant (the `paths_so_far` tally is
+/// implementation specific).
+#[test]
+fn engine_matches_the_reference_on_every_base_shape_semantics_and_thread_count() {
+    use pathalg::algebra::error::AlgebraError;
+    use pathalg::algebra::plan::scan;
+    use pathalg::engine::EngineEvaluator;
+
+    // (shape, base, drained by the PMR)
+    let bases = [
+        ("label scan", scan("Knows"), true),
+        ("2-label chain", scan("Knows").join(scan("Likes")), true),
+        ("union", scan("Knows").union(scan("Likes")), false),
+        (
+            "nested recursion",
+            scan("Knows").recursive(PathSemantics::Shortest),
+            false,
+        ),
+    ];
+    let bounded_walk = |semantics: PathSemantics, cfg: RecursionConfig| RecursionConfig {
+        max_length: (semantics == PathSemantics::Walk).then_some(4),
+        ..cfg
+    };
+    let mut errors = [0usize; 2];
+    for (name, graph) in test_graphs() {
+        for (shape, base, pmr) in &bases {
+            for semantics in PathSemantics::ALL {
+                let plan = base.clone().recursive(semantics);
+                for recursion in [
+                    bounded_walk(semantics, RecursionConfig::default()),
+                    // One path: every closure with a recursion candidate
+                    // overflows in the reference and in every kernel alike.
+                    // (Larger limits can diverge — the kernels record each
+                    // source's base just before expanding it, the reference
+                    // records the whole base first.)
+                    bounded_walk(
+                        semantics,
+                        RecursionConfig {
+                            max_length: None,
+                            max_paths: Some(1),
+                        },
+                    ),
+                    RecursionConfig::unbounded(),
+                ] {
+                    let reference =
+                        Evaluator::with_config(&graph, EvalConfig { recursion }).eval_paths(&plan);
+                    let runs: Vec<_> = [1usize, 2, 8]
+                        .into_iter()
+                        .map(|threads| {
+                            EngineEvaluator::new(&graph, recursion, exec_cfg(threads))
+                                .eval_paths(&plan)
+                        })
+                        .collect();
+                    let what = format!("{name}: {shape} {plan} with {recursion:?}");
+                    for run in &runs[1..] {
+                        match (&runs[0], run) {
+                            (Ok(a), Ok(b)) if *pmr => {
+                                assert_eq!(a.as_slice(), b.as_slice(), "{what}")
+                            }
+                            (Err(a), Err(b)) if !*pmr => assert_eq!(
+                                std::mem::discriminant(a),
+                                std::mem::discriminant(b),
+                                "{what}: {a:?} vs {b:?}"
+                            ),
+                            (a, b) => assert_eq!(a, b, "{what}"),
+                        }
+                    }
+                    match (&reference, &runs[0]) {
+                        (Ok(expected), Ok(out)) => assert_eq!(out, expected, "{what}"),
+                        (Err(AlgebraError::ResultLimitExceeded { limit: a }), Err(e)) => {
+                            errors[0] += 1;
+                            assert_eq!(
+                                e,
+                                &AlgebraError::ResultLimitExceeded { limit: *a },
+                                "{what}"
+                            )
+                        }
+                        (Err(a @ AlgebraError::RecursionLimitExceeded { .. }), Err(b)) => {
+                            errors[1] += 1;
+                            assert_eq!(
+                                std::mem::discriminant(a),
+                                std::mem::discriminant(b),
+                                "{what}: {a:?} vs {b:?}"
+                            )
+                        }
+                        (expected, out) => panic!("{what}: {expected:?} vs {out:?}"),
+                    }
+                }
+            }
+        }
+    }
+    // Both error paths are actually exercised.
+    assert!(errors.iter().all(|&n| n > 0), "{errors:?}");
 }
 
 /// End to end: the runner must return identical result sets at every thread
@@ -221,36 +316,6 @@ fn runner_results_are_thread_count_invariant() {
                     result.paths(),
                     reference.paths(),
                     "{name}: {query} changed results at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-/// The parallel automaton-product frontier must agree with the serial
-/// product evaluation, path-for-path and in order.
-#[test]
-fn parallel_automaton_frontier_agrees_with_serial_product() {
-    let cfg = RecursionConfig::default();
-    for (name, graph) in test_graphs() {
-        for pattern in [":Knows+", "(:Knows|:Likes)+"] {
-            let re = parse_regex(pattern).unwrap();
-            let serial = AutomatonEvaluator::new(&graph, &re)
-                .eval_all(PathSemantics::Shortest, &cfg)
-                .unwrap();
-            for threads in [1usize, 4] {
-                let parallel = automaton_frontier(
-                    &graph,
-                    &re,
-                    PathSemantics::Shortest,
-                    &cfg,
-                    &ExecutionConfig::with_threads(threads),
-                )
-                .unwrap();
-                assert_eq!(
-                    parallel.as_slice(),
-                    serial.as_slice(),
-                    "{name}: {pattern} parallel product diverged at {threads} threads"
                 );
             }
         }
@@ -338,15 +403,15 @@ fn end_to_end_queries_agree_between_runner_and_baseline() {
 /// The lazy-pipeline contract of the PMR subsystem (DESIGN.md §8): on every
 /// test graph, a slicing γ/τ/π pipeline over a recursive label scan —
 /// evaluated lazily by the engine — produces byte-identical canonical output
-/// to the materialised evaluation (CSR frontier + γ/τ/π operators), at 1, 2
-/// and 8 configured threads.
+/// to the materialised evaluation (base-path frontier + γ/τ/π operators), at
+/// 1, 2 and 8 configured threads.
 #[test]
 fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
     use pathalg::algebra::ops::group_by::{group_by, GroupKey};
     use pathalg::algebra::ops::order_by::{order_by, OrderKey};
     use pathalg::algebra::ops::projection::{projection, ProjectionSpec, Take};
     use pathalg::algebra::PlanExpr;
-    use pathalg::engine::cost::choose_pipeline_impl;
+    use pathalg::engine::cost::{choose_strategy, Strategy};
     use pathalg::engine::EngineEvaluator;
 
     let bounded = RecursionConfig {
@@ -396,10 +461,9 @@ fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
     ];
     for (name, graph) in test_graphs() {
         for (semantics, recursion, gkey, order, spec) in &cases {
-            // The materialised evaluation: CSR frontier closure + γ/τ/π.
-            let csr = CsrGraph::with_label(&graph, "Knows");
+            // The materialised evaluation: frontier closure + γ/τ/π.
             let closure =
-                phi_frontier_csr(&csr, *semantics, recursion, &ExecutionConfig::default()).unwrap();
+                materialized_join_closure(&graph, &["Knows"], *semantics, recursion, 1).unwrap();
             let grouped = group_by(*gkey, &closure);
             let ranked = match order {
                 Some(key) => order_by(*key, &grouped),
@@ -418,7 +482,10 @@ fn lazy_sliced_pipelines_match_materialized_evaluation_byte_for_byte() {
             }
             let plan = plan.project(*spec);
             assert!(
-                choose_pipeline_impl(&plan, recursion).is_some(),
+                matches!(
+                    choose_strategy(&plan, None, recursion, &ExecutionConfig::default(), None),
+                    Some((Strategy::Sliced(..), _))
+                ),
                 "{name}: {plan} should be evaluated lazily"
             );
             for threads in [1usize, 2, 8] {
@@ -477,7 +544,6 @@ fn exec_cfg(threads: usize) -> ExecutionConfig {
     ExecutionConfig {
         threads,
         batch_size: 2,
-        ..ExecutionConfig::default()
     }
 }
 
@@ -778,13 +844,7 @@ fn parallel_lazy_enumeration_matches_serial_pmr_byte_for_byte() {
                     .iter()
                     .map(|l| CsrGraph::with_label(&graph, l))
                     .collect();
-                let factory = || {
-                    if hops.len() == 1 {
-                        Pmr::from_shared_csr(Arc::new(hops[0].clone()), semantics, cfg)
-                    } else {
-                        Pmr::from_shared_join(hops.clone(), semantics, cfg)
-                    }
-                };
+                let factory = || Pmr::from_hops(hops.clone(), semantics, cfg);
                 let serial = factory().enumerate_all();
                 let sources = factory().sources();
                 for threads in [1usize, 2, 8] {
@@ -862,10 +922,10 @@ fn parallel_lazy_sliced_matches_serial_sliced_on_every_graph() {
         },
     ];
     for (name, graph) in test_graphs() {
-        let csr = Arc::new(CsrGraph::with_label(&graph, "Knows"));
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&graph, "Knows")]);
         for (semantics, mut cfg) in join_semantics_cases() {
             cfg.max_paths = None; // coupled specs route bounded runs serially
-            let factory = || Pmr::from_shared_csr(csr.clone(), semantics, cfg);
+            let factory = || Pmr::from_hops(hops.clone(), semantics, cfg);
             let sources = factory().sources();
             for spec in &specs {
                 let expected = factory().sliced(spec).unwrap();
@@ -915,7 +975,7 @@ fn serial_sharp_stop_matches_parallel_on_snb_workload() {
         seed: 7,
         ..SnbConfig::default()
     });
-    let csr = Arc::new(CsrGraph::with_label(&graph, "Knows"));
+    let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&graph, "Knows")]);
     let cfg = RecursionConfig {
         max_length: Some(6),
         max_paths: None,
@@ -929,7 +989,7 @@ fn serial_sharp_stop_matches_parallel_on_snb_workload() {
         max_partitions: Some(4),
         ordered_by_length: false,
     };
-    let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Trail, cfg);
+    let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Trail, cfg);
 
     // Ground truth: materialise the whole closure, then slice it.
     let mut full = factory();
@@ -1054,13 +1114,7 @@ fn parallel_lazy_unbounded_walk_error_parity() {
             .iter()
             .map(|l| CsrGraph::with_label(graph, l))
             .collect();
-        let factory = || {
-            if hops.len() == 1 {
-                Pmr::from_shared_csr(Arc::new(hops[0].clone()), PathSemantics::Walk, cfg)
-            } else {
-                Pmr::from_shared_join(hops.clone(), PathSemantics::Walk, cfg)
-            }
-        };
+        let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Walk, cfg);
         let serial_err = factory().enumerate_all().unwrap_err();
         let sources = factory().sources();
         for threads in [1usize, 2, 8] {
@@ -1092,13 +1146,13 @@ fn parallel_lazy_max_paths_claim_parity() {
     use std::sync::Arc;
 
     let g = grid_graph(3, 3, "Knows");
-    let csr = Arc::new(CsrGraph::with_label(&g, "Knows"));
+    let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&g, "Knows")]);
     for limit in [5usize, 40, 100_000] {
         let cfg = RecursionConfig {
             max_length: Some(6),
             max_paths: Some(limit),
         };
-        let factory = || Pmr::from_shared_csr(csr.clone(), PathSemantics::Trail, cfg);
+        let factory = || Pmr::from_hops(hops.clone(), PathSemantics::Trail, cfg);
         let serial = factory().enumerate_all();
         let sources = factory().sources();
         let spec = SliceSpec {
@@ -1161,13 +1215,7 @@ fn work_counters_are_byte_identical_across_thread_counts() {
                     .iter()
                     .map(|l| CsrGraph::with_label(&graph, l))
                     .collect();
-                let factory = || {
-                    if hops.len() == 1 {
-                        Pmr::from_shared_csr(Arc::new(hops[0].clone()), semantics, cfg)
-                    } else {
-                        Pmr::from_shared_join(hops.clone(), semantics, cfg)
-                    }
-                };
+                let factory = || Pmr::from_hops(hops.clone(), semantics, cfg);
                 let mut serial = factory();
                 if serial.enumerate_all().is_err() {
                     continue; // error-value parity is pinned elsewhere
@@ -1225,10 +1273,10 @@ fn sliced_work_counters_are_thread_invariant_on_uncoupled_specs() {
         },
     ];
     for (name, graph) in test_graphs() {
-        let csr = Arc::new(CsrGraph::with_label(&graph, "Knows"));
+        let hops: Arc<[CsrGraph]> = Arc::from(vec![CsrGraph::with_label(&graph, "Knows")]);
         for (semantics, mut cfg) in join_semantics_cases() {
             cfg.max_paths = None;
-            let factory = || Pmr::from_shared_csr(csr.clone(), semantics, cfg);
+            let factory = || Pmr::from_hops(hops.clone(), semantics, cfg);
             let sources = factory().sources();
             for spec in &specs {
                 let mut serial = factory();
@@ -1313,6 +1361,53 @@ fn optimizer_never_changes_results() {
             b.paths(),
             "optimizer changed the result of {query}"
         );
+    }
+}
+
+/// An anchored two-hop ACYCLIC pattern plans as `σ[first.id = a ∧
+/// is_acyclic()](Likes ⋈ Has_creator)`. The optimiser must sink the anchor
+/// (the endpoint-only conjunct) below `is_acyclic()` so it lands on the
+/// `Likes` scan instead of filtering the full join, and the rewrite must
+/// leave every answer byte-identical.
+#[test]
+fn anchored_two_hop_selection_sits_on_the_first_scan() {
+    use pathalg::algebra::optimizer::Optimizer;
+    use pathalg::algebra::PlanExpr;
+    use pathalg::parser::{lower_to_checked_plan, parse_surface, QuerySurface};
+
+    let graph = snb_like_graph(&SnbConfig::scale(60, 2024));
+    for anchor in [0u32, 7, 31] {
+        let text =
+            format!("MATCH ALL ACYCLIC p = (?x {{id: {anchor}}})-[:Likes/:Has_creator]->(?y)");
+        let plan =
+            lower_to_checked_plan(&parse_surface(QuerySurface::Gql, &text).unwrap()).unwrap();
+        let optimized = Optimizer::new().optimize(&plan);
+        // Find the join and check its left input carries the anchor σ on top
+        // of the Likes scan.
+        fn find_join(p: &PlanExpr) -> Option<(&PlanExpr, &PlanExpr)> {
+            match p {
+                PlanExpr::Join { left, right } => Some((left, right)),
+                PlanExpr::Selection { input, .. }
+                | PlanExpr::GroupBy { input, .. }
+                | PlanExpr::OrderBy { input, .. }
+                | PlanExpr::Projection { input, .. } => find_join(input),
+                _ => None,
+            }
+        }
+        let (left, right) = find_join(&optimized).expect("a join");
+        let PlanExpr::Selection { condition, input } = left else {
+            panic!("{text}: the anchor σ did not reach the join's left input: {optimized}")
+        };
+        assert!(condition.only_references_first_node(), "{optimized}");
+        assert_eq!(input.label_scan_target(), Some("Likes"), "{optimized}");
+        assert_eq!(
+            right.label_scan_target(),
+            Some("Has_creator"),
+            "{optimized}"
+        );
+        let before = Evaluator::new(&graph).eval_paths(&plan).unwrap();
+        let after = Evaluator::new(&graph).eval_paths(&optimized).unwrap();
+        assert_eq!(after.as_slice(), before.as_slice(), "{text}");
     }
 }
 

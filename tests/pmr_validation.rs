@@ -2,20 +2,24 @@
 //! DESIGN.md §8) against the materialised engine.
 //!
 //! The PMR's contract is strict: `Pmr::enumerate()` must reproduce the
-//! materialised frontier evaluation **in content and order** (the canonical
+//! engine's base-path frontier over the materialised base (`σℓ(Edges(G))`)
+//! **in content and order** (the canonical
 //! order every lazy consumer relies on), `top_k(k)` must equal
 //! `enumerate().take(k)` while expanding less, and the group-cardinality and
 //! sliced evaluations must agree with the γ/τ/π operators they push into.
 //! These are checked on every fixture graph and, via the vendored proptest,
 //! on streams of random graphs.
 
+use pathalg::algebra::condition::Condition;
 use pathalg::algebra::ops::group_by::{group_by, GroupKey};
 use pathalg::algebra::ops::order_by::{order_by, OrderKey};
 use pathalg::algebra::ops::projection::{projection, ProjectionSpec, Take};
 use pathalg::algebra::ops::recursive::{PathSemantics, RecursionConfig};
+use pathalg::algebra::ops::selection::selection;
+use pathalg::algebra::pathset::PathSet;
 use pathalg::algebra::slice::SliceSpec;
 use pathalg::engine::exec::ExecutionConfig;
-use pathalg::engine::physical::frontier::phi_frontier_csr;
+use pathalg::engine::physical::frontier::phi_frontier;
 use pathalg::graph::csr::CsrGraph;
 use pathalg::graph::fixtures::figure1::Figure1;
 use pathalg::graph::generator::random::{random_labeled_graph, RandomGraphConfig};
@@ -23,8 +27,6 @@ use pathalg::graph::generator::snb::{snb_label_csr, snb_like_graph, SnbConfig};
 use pathalg::graph::generator::structured::{chain_graph, cycle_graph, grid_graph, ladder_graph};
 use pathalg::graph::graph::PropertyGraph;
 use pathalg::pmr::Pmr;
-use pathalg::rpq::automaton_eval::AutomatonEvaluator;
-use pathalg::rpq::parse::parse_regex;
 use proptest::prelude::*;
 
 fn fixture_graphs() -> Vec<(String, PropertyGraph)> {
@@ -77,11 +79,26 @@ fn semantics_cases() -> Vec<(PathSemantics, RecursionConfig)> {
     ]
 }
 
+/// The byte-order oracle of the PMR: the engine's base-path frontier over
+/// the materialised `σℓ(Edges(G))` — or all of `Edges(G)` without a label.
+fn frontier_oracle(
+    graph: &PropertyGraph,
+    label: Option<&str>,
+    semantics: PathSemantics,
+    cfg: &RecursionConfig,
+) -> PathSet {
+    let edges = PathSet::edges(graph);
+    let base = match label {
+        Some(l) => selection(graph, &Condition::edge_label(1, l), &edges),
+        None => edges,
+    };
+    phi_frontier(semantics, &base, cfg, &ExecutionConfig::default()).unwrap()
+}
+
 /// `Pmr::enumerate` equals the materialised frontier engine in content *and
 /// order* on every fixture graph, with and without label selection.
 #[test]
 fn enumeration_is_byte_identical_to_the_materialised_frontier() {
-    let exec = ExecutionConfig::default();
     for (name, graph) in fixture_graphs() {
         // The unlabelled (whole-graph) variant stays on the small fixtures:
         // the full trail closure of the multi-label SNB/random graphs blows
@@ -97,37 +114,13 @@ fn enumeration_is_byte_identical_to_the_materialised_frontier() {
                     Some(l) => CsrGraph::with_label(&graph, l),
                     None => CsrGraph::from_graph(&graph),
                 };
-                let expected = phi_frontier_csr(&csr, semantics, &cfg, &exec).unwrap();
+                let expected = frontier_oracle(&graph, label, semantics, &cfg);
                 let mut pmr = Pmr::from_csr(csr, semantics, cfg);
                 let out = pmr.enumerate_all().unwrap();
                 assert_eq!(
                     out.as_slice(),
                     expected.as_slice(),
                     "{name}: PMR enumeration diverged under {semantics:?} (label {label:?})"
-                );
-            }
-        }
-    }
-}
-
-/// The product-automaton form reproduces the serial automaton evaluator in
-/// content and order.
-#[test]
-fn product_form_is_byte_identical_to_the_automaton_evaluator() {
-    let cfg = RecursionConfig::default();
-    for (name, graph) in fixture_graphs() {
-        for pattern in [":Knows+", "(:Knows|:Likes)+", "(:Knows/:Knows)?"] {
-            let re = parse_regex(pattern).unwrap();
-            for semantics in [PathSemantics::Trail, PathSemantics::Shortest] {
-                let expected = AutomatonEvaluator::new(&graph, &re)
-                    .eval_all(semantics, &cfg)
-                    .unwrap();
-                let mut pmr = Pmr::from_regex(&graph, &re, semantics, cfg);
-                let out = pmr.enumerate_all().unwrap();
-                assert_eq!(
-                    out.as_slice(),
-                    expected.as_slice(),
-                    "{name}: product PMR diverged on {pattern} under {semantics:?}"
                 );
             }
         }
@@ -160,11 +153,10 @@ fn top_k_law_holds_on_every_fixture() {
 /// set, for the `(First, Last, Len)`-derived keys.
 #[test]
 fn group_counts_agree_with_group_by_on_every_fixture() {
-    let exec = ExecutionConfig::default();
     for (name, graph) in fixture_graphs() {
         let csr = CsrGraph::with_label(&graph, "Knows");
         let cfg = RecursionConfig::default();
-        let materialised = phi_frontier_csr(&csr, PathSemantics::Trail, &cfg, &exec).unwrap();
+        let materialised = frontier_oracle(&graph, Some("Knows"), PathSemantics::Trail, &cfg);
         for key in GroupKey::ALL {
             let ss = group_by(key, &materialised);
             let mut pmr = Pmr::from_csr(csr.clone(), PathSemantics::Trail, cfg);
@@ -183,11 +175,10 @@ fn group_counts_agree_with_group_by_on_every_fixture() {
 /// fixture graph, for the selector shapes the recogniser accepts.
 #[test]
 fn sliced_evaluation_matches_the_materialised_pipeline_on_every_fixture() {
-    let exec = ExecutionConfig::default();
     for (name, graph) in fixture_graphs() {
         for (semantics, cfg) in semantics_cases() {
             let csr = CsrGraph::with_label(&graph, "Knows");
-            let materialised = phi_frontier_csr(&csr, semantics, &cfg, &exec).unwrap();
+            let materialised = frontier_oracle(&graph, Some("Knows"), semantics, &cfg);
             for (group_key, order, spec) in [
                 (
                     GroupKey::SourceTarget,
@@ -315,13 +306,12 @@ proptest! {
         labelled in 0usize..2,
     ) {
         let (semantics, cfg) = semantics_from_index(sem);
-        let csr = if labelled == 1 {
-            CsrGraph::with_label(&g, "a")
-        } else {
-            CsrGraph::from_graph(&g)
+        let label = (labelled == 1).then_some("a");
+        let csr = match label {
+            Some(l) => CsrGraph::with_label(&g, l),
+            None => CsrGraph::from_graph(&g),
         };
-        let expected =
-            phi_frontier_csr(&csr, semantics, &cfg, &ExecutionConfig::default()).unwrap();
+        let expected = frontier_oracle(&g, label, semantics, &cfg);
         let mut pmr = Pmr::from_csr(csr, semantics, cfg);
         let out = pmr.enumerate_all().unwrap();
         prop_assert_eq!(out.as_slice(), expected.as_slice());
@@ -354,8 +344,7 @@ proptest! {
     ) {
         let (semantics, cfg) = semantics_from_index(sem);
         let csr = CsrGraph::with_label(&g, "a");
-        let materialised =
-            phi_frontier_csr(&csr, semantics, &cfg, &ExecutionConfig::default()).unwrap();
+        let materialised = frontier_oracle(&g, Some("a"), semantics, &cfg);
         let expected = projection(
             &ProjectionSpec::new(Take::All, Take::All, Take::Count(k)),
             &order_by(

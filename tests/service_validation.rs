@@ -402,3 +402,42 @@ proptest! {
         );
     }
 }
+
+/// A `:Knows+` query to a person no `Knows` edge points at is answered empty
+/// under the default quota. ACYCLIC and SIMPLE closures from a well-connected
+/// source hold far more than the quota's paths, so the sliced evaluation
+/// must skip the source on entry — it can reach no admitted target — rather
+/// than expand until the quota trips.
+#[test]
+fn unreachable_targets_answer_empty_under_the_default_quota() {
+    use pathalg::graph::csr::CsrGraph;
+    use pathalg::graph::generator::snb::{snb_like_graph, SnbConfig};
+    use pathalg::graph::ids::NodeId;
+
+    let graph = snb_like_graph(&SnbConfig::scale(300, 2024));
+    let knows = CsrGraph::with_label(&graph, "Knows");
+    let persons: Vec<NodeId> = graph.nodes_with_label("Person").collect();
+    let mut in_degree = vec![0usize; graph.node_count()];
+    for &p in &persons {
+        for t in knows.neighbor_slices(p).0 {
+            in_degree[t.index()] += 1;
+        }
+    }
+    let target = *persons
+        .iter()
+        .find(|p| in_degree[p.index()] == 0)
+        .expect("a person nobody knows");
+    let source = persons[0];
+    assert!(knows.out_degree(source) > 0);
+    let svc = QueryService::with_defaults(Arc::new(graph));
+    for (selector, restrictor) in [("ANY 2", "ACYCLIC"), ("ANY SHORTEST", "SIMPLE")] {
+        let text = format!(
+            "MATCH {selector} {restrictor} p = (?x {{id: {}}})-[(:Knows)+]->(?y {{id: {}}})",
+            source.index(),
+            target.index()
+        );
+        let response = svc.submit(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert!(response.outcome.paths.is_empty(), "{text}");
+        assert_eq!(response.outcome.work.sources_abandoned, 1, "{text}");
+    }
+}
